@@ -36,35 +36,36 @@ struct RunResult {
   MixedLoadReport report;
 };
 
-/// One serving run: preload, then duration_ms of readers vs. the paced
-/// write stream. Returns false on a setup or ingestion failure.
-bool RunOne(const BenchData& bd, std::size_t shards, std::size_t threads,
-            double duration_ms, RunResult* out) {
+/// The set-up both runs share: opens a store with `sopt` (grid and space
+/// filled in from `bd`), preloads the first half of the history, and
+/// fills `mopt` with the rest as the paced write stream plus the paper
+/// queries clamped into the preloaded history. Returns null on failure.
+std::unique_ptr<ShardedStore> OpenPreloaded(const BenchData& bd,
+                                            ShardedStoreOptions sopt,
+                                            std::size_t threads,
+                                            double duration_ms,
+                                            MixedLoadOptions* mopt) {
   const std::int64_t preload =
       std::max<std::int64_t>(1, bd.counts.num_epochs / 2);
-
-  ShardedStoreOptions sopt;
-  sopt.num_shards = shards;
   sopt.tree.grid = bd.grid;
   sopt.tree.space = bd.data.bounds;
   auto opened = ShardedStore::Open(sopt);
   if (!opened.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  opened.status().ToString().c_str());
-    return false;
+    return nullptr;
   }
   std::unique_ptr<ShardedStore> store = std::move(opened).ValueOrDie();
   for (PoiId id : bd.effective) {
     std::vector<std::int32_t> h = bd.counts.counts[id];
     if (h.size() > static_cast<std::size_t>(preload)) h.resize(preload);
-    if (!store->InsertPoi(bd.data.pois[id], h).ok()) return false;
+    if (!store->InsertPoi(bd.data.pois[id], h).ok()) return nullptr;
   }
 
-  MixedLoadOptions mopt;
-  mopt.reader_threads = threads;
-  mopt.duration_ms = duration_ms;
-  mopt.first_epoch = preload;
-  mopt.write_interval_ms = 2.0;
+  mopt->reader_threads = threads;
+  mopt->duration_ms = duration_ms;
+  mopt->first_epoch = preload;
+  mopt->write_interval_ms = 2.0;
   for (std::int64_t e = preload; e < bd.counts.num_epochs; ++e) {
     std::unordered_map<PoiId, std::int64_t> batch;
     for (PoiId id : bd.effective) {
@@ -73,11 +74,11 @@ bool RunOne(const BenchData& bd, std::size_t shards, std::size_t threads,
         batch[id] = h[e];
       }
     }
-    if (!batch.empty()) mopt.epoch_batches.push_back(std::move(batch));
+    if (!batch.empty()) mopt->epoch_batches.push_back(std::move(batch));
   }
-  if (mopt.epoch_batches.empty()) return false;
-  mopt.queries = PaperQueries(bd, 64);
-  for (KnntaQuery& q : mopt.queries) {
+  if (mopt->epoch_batches.empty()) return nullptr;
+  mopt->queries = PaperQueries(bd, 64);
+  for (KnntaQuery& q : mopt->queries) {
     // Clamp the workload into the preloaded history so every query has
     // indexed data to rank.
     q.interval.end = std::min(q.interval.end, bd.grid.EpochEnd(preload - 1));
@@ -85,6 +86,19 @@ bool RunOne(const BenchData& bd, std::size_t shards, std::size_t threads,
       q.interval.start = bd.grid.EpochStart(0);
     }
   }
+  return store;
+}
+
+/// One serving run: preload, then duration_ms of readers vs. the paced
+/// write stream. Returns false on a setup or ingestion failure.
+bool RunOne(const BenchData& bd, std::size_t shards, std::size_t threads,
+            double duration_ms, RunResult* out) {
+  ShardedStoreOptions sopt;
+  sopt.num_shards = shards;
+  MixedLoadOptions mopt;
+  std::unique_ptr<ShardedStore> store =
+      OpenPreloaded(bd, sopt, threads, duration_ms, &mopt);
+  if (store == nullptr) return false;
 
   ShardedServer server(store.get(), ServeOptions{});
   server.Start();
@@ -117,54 +131,17 @@ bool RunKill(const BenchData& bd, std::size_t threads, double duration_ms,
     std::remove((base + ".wal").c_str());
     std::remove((base + ".redo").c_str());
   }
-  const std::int64_t preload =
-      std::max<std::int64_t>(1, bd.counts.num_epochs / 2);
-
   ShardedStoreOptions sopt;
   sopt.num_shards = 4;
-  sopt.tree.grid = bd.grid;
-  sopt.tree.space = bd.data.bounds;
   sopt.store_prefix = prefix;
   sopt.wal.group_commit_records = 1;
   sopt.fault.retry_backoff_ms = 0.1;
   sopt.fault.repair_backoff_ms = 2.0;
   sopt.fault.repair_backoff_max_ms = 50.0;
-  auto opened = ShardedStore::Open(sopt);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "open failed: %s\n",
-                 opened.status().ToString().c_str());
-    return false;
-  }
-  std::unique_ptr<ShardedStore> store = std::move(opened).ValueOrDie();
-  for (PoiId id : bd.effective) {
-    std::vector<std::int32_t> h = bd.counts.counts[id];
-    if (h.size() > static_cast<std::size_t>(preload)) h.resize(preload);
-    if (!store->InsertPoi(bd.data.pois[id], h).ok()) return false;
-  }
-
   MixedLoadOptions mopt;
-  mopt.reader_threads = threads;
-  mopt.duration_ms = duration_ms;
-  mopt.first_epoch = preload;
-  mopt.write_interval_ms = 2.0;
-  for (std::int64_t e = preload; e < bd.counts.num_epochs; ++e) {
-    std::unordered_map<PoiId, std::int64_t> batch;
-    for (PoiId id : bd.effective) {
-      const std::vector<std::int32_t>& h = bd.counts.counts[id];
-      if (static_cast<std::size_t>(e) < h.size() && h[e] > 0) {
-        batch[id] = h[e];
-      }
-    }
-    if (!batch.empty()) mopt.epoch_batches.push_back(std::move(batch));
-  }
-  if (mopt.epoch_batches.empty()) return false;
-  mopt.queries = PaperQueries(bd, 64);
-  for (KnntaQuery& q : mopt.queries) {
-    q.interval.end = std::min(q.interval.end, bd.grid.EpochEnd(preload - 1));
-    if (q.interval.start > q.interval.end) {
-      q.interval.start = bd.grid.EpochStart(0);
-    }
-  }
+  std::unique_ptr<ShardedStore> store =
+      OpenPreloaded(bd, sopt, threads, duration_ms, &mopt);
+  if (store == nullptr) return false;
 
   ServeOptions vopt;
   vopt.partial_coverage = true;

@@ -1,4 +1,4 @@
-// CRC-32C (Castagnoli) — the checksum guarding persistence format v2.
+// CRC-32C (Castagnoli) — the checksum guarding the persistence format.
 //
 // Chosen over plain CRC-32 for its better error-detection properties on
 // short messages and because it is what comparable storage systems

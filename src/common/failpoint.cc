@@ -19,7 +19,7 @@ constexpr const char* kKnownSites[] = {
     "page_file.alloc",      // PageFile::Allocate
     "buffer_pool.fetch",    // BufferPool::Fetch / FetchForWrite
     "persist.open",         // SaveToFile / LoadFromFile open
-    "persist.write",        // one hit per persisted v2 section (torn/flip)
+    "persist.write",        // one hit per persisted section (torn/flip)
     "persist.read",         // one hit per deserialization read
     "persist.rename",       // the atomic rename step of SaveToFile
     "persist.load.reserve", // bulk allocations sized by a loaded count

@@ -4,7 +4,7 @@
 // distribution vectors, TIA records, normalizers), so a loaded tree has
 // identical query results *and* identical node-access costs.
 //
-// Format v2 (current) is sectioned and checksummed. Little-endian host
+// The format (version 2) is sectioned and checksummed. Little-endian host
 // integers throughout. Layout:
 //
 //   "TART"            4-byte magic
@@ -12,8 +12,7 @@
 //   section*          frame = u32 tag | u64 len | payload | u32 CRC-32C
 //   footer            frame with tag 0xF00F whose payload is the CRC-32C
 //                     of every byte before the footer frame (u32) followed
-//                     by the tree's applied WAL LSN (u64); legacy files
-//                     with a 4-byte CRC-only payload load with LSN 0
+//                     by the tree's applied WAL LSN (u64)
 //
 // Sections (in order): Options(1), Pois(2), GlobalTia(3), Nodes(4). Each
 // payload carries its own CRC so a flipped bit is pinned to a section; the
@@ -21,10 +20,7 @@
 // garbage. Every deserialized count is validated against the bytes that
 // remain in its section before anything is allocated, and payloads are
 // read in bounded chunks, so a corrupt length can never drive an
-// unbounded allocation.
-//
-// Format v1 (legacy, unchecksummed) is still loaded; SaveV1 keeps the
-// writer around so that path stays testable.
+// unbounded allocation. Any other version is rejected with NotSupported.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -43,8 +39,7 @@ namespace tar {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'A', 'R', 'T'};
-constexpr std::uint32_t kFormatV1 = 1;
-constexpr std::uint32_t kFormatV2 = 2;
+constexpr std::uint32_t kFormatVersion = 2;
 
 constexpr std::uint32_t kSectionOptions = 1;
 constexpr std::uint32_t kSectionPois = 2;
@@ -69,11 +64,6 @@ const char* SectionName(std::uint32_t tag) {
     default:
       return nullptr;
   }
-}
-
-template <typename T>
-void WritePodStream(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
 // ---------------------------------------------------------------------------
@@ -116,7 +106,7 @@ class StreamReader {
 };
 
 // ---------------------------------------------------------------------------
-// v2 section payload writer/reader.
+// Section payload writer/reader.
 
 class ByteWriter {
  public:
@@ -238,7 +228,7 @@ Status ParseTia(ByteReader* r, Tia* tia) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 frame emission. One frame: u32 tag | u64 len | payload | u32 crc.
+// Frame emission. One frame: u32 tag | u64 len | payload | u32 crc.
 // The `persist.write` failpoint is evaluated per frame; a torn fire
 // persists only a prefix of the frame and fails, a flip fire silently
 // corrupts one payload bit (the write "succeeds"; the section CRC pins it
@@ -302,13 +292,13 @@ Status EmitSection(std::ostream& out, std::uint32_t tag, std::string payload,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Save (v2).
+// Save.
 
 Status TarTree::Save(std::ostream& out) const {
   if (poisoned_) return PoisonedError("save");
   char preamble[8];
   std::memcpy(preamble, kMagic, 4);
-  std::memcpy(preamble + 4, &kFormatV2, 4);
+  std::memcpy(preamble + 4, &kFormatVersion, 4);
   out.write(preamble, sizeof(preamble));
   if (!out.good()) return Status::IoError("write failed");
   std::uint32_t file_crc = Crc32c(preamble, sizeof(preamble));
@@ -402,123 +392,30 @@ Status TarTree::Save(std::ostream& out) const {
 }
 
 // ---------------------------------------------------------------------------
-// Save (legacy v1, kept for backward-compatibility testing).
-
-Status TarTree::SaveV1(std::ostream& out) const {
-  if (poisoned_) return PoisonedError("save");
-  out.write(kMagic, sizeof(kMagic));
-  WritePodStream(out, kFormatV1);
-
-  WritePodStream<std::uint8_t>(out, static_cast<std::uint8_t>(options_.strategy));
-  WritePodStream<std::uint8_t>(out,
-                               static_cast<std::uint8_t>(options_.tia_backend));
-  WritePodStream<std::uint64_t>(out, options_.node_size_bytes);
-  WritePodStream<std::uint64_t>(out, options_.tia_buffer_slots);
-  WritePodStream<std::uint64_t>(out, options_.tia_page_size);
-  WritePodStream(out, options_.grid.t0());
-  WritePodStream(out, options_.grid.epoch_length());
-  WritePodStream<std::uint8_t>(out, options_.space.empty() ? 1 : 0);
-  WritePodStream(out, options_.space.lo[0]);
-  WritePodStream(out, options_.space.lo[1]);
-  WritePodStream(out, options_.space.hi[0]);
-  WritePodStream(out, options_.space.hi[1]);
-
-  WritePodStream(out, max_total_);
-  WritePodStream<std::uint64_t>(out, poi_info_.size());
-  for (const auto& [id, info] : poi_info_) {
-    WritePodStream(out, id);
-    WritePodStream(out, info.pos.x);
-    WritePodStream(out, info.pos.y);
-    WritePodStream(out, info.total);
-  }
-  auto write_tia = [&out](const Tia& tia) -> Status {
-    std::vector<TiaRecord> records;
-    TAR_RETURN_NOT_OK(tia.Records(&records));
-    WritePodStream<std::uint64_t>(out, records.size());
-    for (const TiaRecord& r : records) {
-      WritePodStream(out, r.extent.start);
-      WritePodStream(out, r.extent.end);
-      WritePodStream(out, r.aggregate);
-    }
-    return Status::OK();
-  };
-  TAR_RETURN_NOT_OK(write_tia(*global_tia_));
-
-  std::map<NodeId, std::uint32_t> remap;
-  std::vector<NodeId> order;
-  if (root_ != kInvalidNodeId) {
-    std::vector<NodeId> stack{root_};
-    while (!stack.empty()) {
-      NodeId id = stack.back();
-      stack.pop_back();
-      remap[id] = static_cast<std::uint32_t>(order.size());
-      order.push_back(id);
-      for (const Entry& e : nodes_[id]->entries) {
-        if (!e.is_leaf_entry()) stack.push_back(e.child);
-      }
-    }
-  }
-  WritePodStream<std::uint32_t>(out,
-                                root_ == kInvalidNodeId ? kInvalidNodeId : 0u);
-  WritePodStream<std::uint64_t>(out, order.size());
-  for (NodeId id : order) {
-    const Node& node = *nodes_[id];
-    WritePodStream(out, node.level);
-    WritePodStream<std::uint64_t>(out, node.entries.size());
-    for (const Entry& e : node.entries) {
-      for (std::size_t d = 0; d < 3; ++d) {
-        WritePodStream(out, e.box.lo[d]);
-        WritePodStream(out, e.box.hi[d]);
-      }
-      WritePodStream(out, e.poi);
-      WritePodStream<std::uint32_t>(
-          out, e.is_leaf_entry() ? kInvalidNodeId : remap.at(e.child));
-      WritePodStream<std::uint64_t>(out, e.distvec.size());
-      for (std::int32_t v : e.distvec) WritePodStream(out, v);
-      TAR_RETURN_NOT_OK(write_tia(*e.tia));
-    }
-  }
-  if (!out.good()) return Status::IoError("write failed");
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Load: magic/version dispatch.
+// Load.
 
 Result<std::unique_ptr<TarTree>> TarTree::Load(std::istream& in,
                                                const LoadOptions& load_options) {
   TAR_INJECT_FAULT("persist.read");
   StreamReader r(in, 0);
-  char magic[4];
-  Status st = r.ReadExact(magic, sizeof(magic), "magic");
-  if (!st.ok() || std::memcmp(magic, kMagic, 4) != 0) {
+  char preamble[8];
+  Status st = r.ReadExact(preamble, 4, "magic");
+  if (!st.ok() || std::memcmp(preamble, kMagic, 4) != 0) {
     return Status::Corruption("not a TAR-tree file (bad magic)");
   }
   std::uint32_t version = 0;
   TAR_RETURN_NOT_OK(r.Pod(&version, "format version"));
-  if (version == kFormatV1) return LoadV1(in, load_options);
-  if (version == kFormatV2) return LoadV2(in, load_options);
-  return Status::NotSupported("unsupported TAR-tree format version " +
-                              std::to_string(version));
-}
-
-// ---------------------------------------------------------------------------
-// Load (v2).
-
-Result<std::unique_ptr<TarTree>> TarTree::LoadV2(
-    std::istream& in, const LoadOptions& load_options) {
-  // The whole-file checksum covers the preamble too; reconstruct it (the
-  // dispatcher has already consumed and validated those 8 bytes).
-  char preamble[8];
-  std::memcpy(preamble, kMagic, 4);
-  std::memcpy(preamble + 4, &kFormatV2, 4);
+  if (version != kFormatVersion) {
+    return Status::NotSupported("unsupported TAR-tree format version " +
+                                std::to_string(version));
+  }
+  // The whole-file checksum covers the preamble too.
+  std::memcpy(preamble + 4, &version, 4);
   std::uint32_t file_crc = Crc32c(preamble, sizeof(preamble));
 
-  StreamReader r(in, sizeof(preamble));
   std::map<std::uint32_t, std::string> sections;
   Lsn footer_lsn = 0;
-  bool got_footer = false;
-  while (!got_footer) {
+  for (;;) {
     const std::uint32_t crc_before_frame = file_crc;
     std::uint32_t tag = 0;
     TAR_RETURN_NOT_OK(r.Pod(&tag, "section tag"));
@@ -526,12 +423,12 @@ Result<std::unique_ptr<TarTree>> TarTree::LoadV2(
     if (tag == kSectionFooter) {
       std::uint64_t len = 0;
       TAR_RETURN_NOT_OK(r.Pod(&len, "footer length"));
-      // 4 bytes = legacy CRC-only footer; 12 = CRC + applied WAL LSN.
-      if (len != 4 && len != 12) {
+      // The payload is the file CRC (u32) and the applied WAL LSN (u64).
+      char payload[12];
+      if (len != sizeof(payload)) {
         return Status::Corruption("footer: bad payload length " +
                                   std::to_string(len));
       }
-      char payload[12] = {0};
       std::uint32_t frame_crc = 0;
       TAR_RETURN_NOT_OK(r.ReadExact(payload, len, "footer payload"));
       TAR_RETURN_NOT_OK(r.Pod(&frame_crc, "footer checksum"));
@@ -540,16 +437,13 @@ Result<std::unique_ptr<TarTree>> TarTree::LoadV2(
       }
       std::uint32_t stored_file_crc = 0;
       std::memcpy(&stored_file_crc, payload, sizeof(stored_file_crc));
-      if (len == 12) {
-        std::memcpy(&footer_lsn, payload + 4, sizeof(footer_lsn));
-      }
+      std::memcpy(&footer_lsn, payload + 4, sizeof(footer_lsn));
       if (stored_file_crc != crc_before_frame) {
         return Status::Corruption(
             "file checksum mismatch (stored " +
             std::to_string(stored_file_crc) + ", computed " +
             std::to_string(crc_before_frame) + "): truncated or corrupt file");
       }
-      got_footer = true;
       break;
     }
 
@@ -739,134 +633,6 @@ Result<std::unique_ptr<TarTree>> TarTree::LoadV2(
   // is the tree's own invariants; the deep pass (when the caller wires one
   // in, e.g. analysis::DeepVerifyOnLoad) additionally fscks every TIA and
   // backing index.
-  if (load_options.verify) {
-    TAR_RETURN_NOT_OK(tree->CheckInvariants());
-  }
-  if (load_options.deep_verifier) {
-    TAR_RETURN_NOT_OK(load_options.deep_verifier(*tree));
-  }
-  return tree;
-}
-
-// ---------------------------------------------------------------------------
-// Load (legacy v1). Unchecksummed, so only truncation and implausible
-// values are detectable; every read failure still reports its byte offset.
-
-Result<std::unique_ptr<TarTree>> TarTree::LoadV1(
-    std::istream& in, const LoadOptions& load_options) {
-  StreamReader r(in, 8);  // past magic + version
-
-  TarTreeOptions options;
-  std::uint8_t strategy = 0;
-  std::uint8_t backend = 0;
-  std::uint64_t node_size = 0;
-  std::uint64_t buffer_slots = 0;
-  std::uint64_t page_size = 0;
-  Timestamp t0 = 0;
-  Timestamp epoch_len = 0;
-  std::uint8_t space_empty = 0;
-  double sx0, sy0, sx1, sy1;
-  TAR_RETURN_NOT_OK(r.Pod(&strategy, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&backend, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&node_size, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&buffer_slots, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&page_size, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&t0, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&epoch_len, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&space_empty, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&sx0, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&sy0, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&sx1, "header"));
-  TAR_RETURN_NOT_OK(r.Pod(&sy1, "header"));
-  if (strategy > 2 || backend > 1 || node_size < 64 || page_size < 320 ||
-      epoch_len <= 0) {
-    return Status::Corruption("implausible header fields");
-  }
-  options.strategy = static_cast<GroupingStrategy>(strategy);
-  options.tia_backend = static_cast<TiaBackend>(backend);
-  options.node_size_bytes = node_size;
-  options.tia_buffer_slots = buffer_slots;
-  options.tia_page_size = page_size;
-  options.grid = EpochGrid(t0, epoch_len);
-  if (space_empty == 0) {
-    options.space = Box2::Union(Box2::FromPoint({sx0, sy0}),
-                                Box2::FromPoint({sx1, sy1}));
-  }
-
-  auto read_tia = [&r](Tia* tia) -> Status {
-    std::uint64_t count = 0;
-    TAR_RETURN_NOT_OK(r.Pod(&count, "TIA record count"));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      TiaRecord rec;
-      TAR_RETURN_NOT_OK(r.Pod(&rec.extent.start, "TIA record"));
-      TAR_RETURN_NOT_OK(r.Pod(&rec.extent.end, "TIA record"));
-      TAR_RETURN_NOT_OK(r.Pod(&rec.aggregate, "TIA record"));
-      TAR_RETURN_NOT_OK(tia->Append(rec.extent, rec.aggregate));
-    }
-    return Status::OK();
-  };
-
-  auto tree = std::make_unique<TarTree>(options);
-  TAR_RETURN_NOT_OK(r.Pod(&tree->max_total_, "normalizer"));
-  std::uint64_t num_pois = 0;
-  TAR_RETURN_NOT_OK(r.Pod(&num_pois, "POI count"));
-  for (std::uint64_t i = 0; i < num_pois; ++i) {
-    PoiId id;
-    PoiInfo info;
-    TAR_RETURN_NOT_OK(r.Pod(&id, "POI registry"));
-    TAR_RETURN_NOT_OK(r.Pod(&info.pos.x, "POI registry"));
-    TAR_RETURN_NOT_OK(r.Pod(&info.pos.y, "POI registry"));
-    TAR_RETURN_NOT_OK(r.Pod(&info.total, "POI registry"));
-    tree->poi_info_[id] = info;
-  }
-  tree->num_pois_ = tree->poi_info_.size();
-  TAR_RETURN_NOT_OK(read_tia(tree->global_tia_.get()));
-
-  std::uint32_t root_marker = 0;
-  std::uint64_t node_count = 0;
-  TAR_RETURN_NOT_OK(r.Pod(&root_marker, "node directory"));
-  TAR_RETURN_NOT_OK(r.Pod(&node_count, "node directory"));
-  for (std::uint64_t n = 0; n < node_count; ++n) {
-    std::int32_t level = 0;
-    std::uint64_t entry_count = 0;
-    TAR_RETURN_NOT_OK(r.Pod(&level, "node"));
-    TAR_RETURN_NOT_OK(r.Pod(&entry_count, "node"));
-    NodeId id = tree->NewNode(level);
-    Node* node = tree->MutableNode(id);
-    for (std::uint64_t i = 0; i < entry_count; ++i) {
-      Entry e;
-      std::uint32_t child = kInvalidNodeId;
-      std::uint64_t distvec_size = 0;
-      for (std::size_t d = 0; d < 3; ++d) {
-        TAR_RETURN_NOT_OK(r.Pod(&e.box.lo[d], "entry box"));
-        TAR_RETURN_NOT_OK(r.Pod(&e.box.hi[d], "entry box"));
-      }
-      TAR_RETURN_NOT_OK(r.Pod(&e.poi, "entry"));
-      TAR_RETURN_NOT_OK(r.Pod(&child, "entry"));
-      TAR_RETURN_NOT_OK(r.Pod(&distvec_size, "entry"));
-      e.child = child;
-      // v1 has no section sizes to validate counts against; growing
-      // element-by-element bounds memory by the actual file size instead
-      // of trusting the deserialized count.
-      for (std::uint64_t d = 0; d < distvec_size; ++d) {
-        std::int32_t v = 0;
-        TAR_RETURN_NOT_OK(r.Pod(&v, "distvec"));
-        e.distvec.push_back(v);
-      }
-      e.tia = tree->NewTia();
-      TAR_RETURN_NOT_OK(read_tia(e.tia.get()));
-      if (e.is_leaf_entry() && tree->poi_info_.count(e.poi) == 0) {
-        return Status::Corruption("leaf entry for unregistered POI");
-      }
-      if (!e.is_leaf_entry() && e.child >= node_count) {
-        return Status::Corruption("entry child out of range");
-      }
-      node->entries.push_back(std::move(e));
-    }
-  }
-  if (root_marker != kInvalidNodeId && node_count > 0) {
-    tree->root_ = root_marker;
-  }
   if (load_options.verify) {
     TAR_RETURN_NOT_OK(tree->CheckInvariants());
   }

@@ -1,6 +1,6 @@
 // Redo recovery and checkpointing for a TAR-tree store.
 //
-// A store is a checkpoint snapshot (the v2 persistence format, whose
+// A store is a checkpoint snapshot (the persistence format, whose
 // footer records the applied WAL LSN) plus a write-ahead log of the
 // mutations since. `Recover` rebuilds the latest consistent tree by
 // loading the snapshot and replaying the log's valid prefix; replay is

@@ -246,6 +246,7 @@ std::string MixedLoadReport::ToJson(const std::string& label,
       << ",\"shards\":" << shards
       << ",\"reader_threads\":" << reader_threads
       << ",\"wall_ms\":" << wall_ms
+      << ",\"drain_ms\":" << drain_ms
       << ",\"reads_ok\":" << reads_ok
       << ",\"reads_shed\":" << reads_shed
       << ",\"reads_failed\":" << reads_failed
@@ -292,6 +293,9 @@ Status RunMixedLoad(ShardedServer* server, const MixedLoadOptions& options,
     }
   });
 
+  // Each reader times its own successful queries, so the report holds
+  // this run's reads only (the server's histogram spans its lifetime).
+  std::vector<LatencySnapshot> latencies(options.reader_threads);
   std::vector<std::thread> readers;
   readers.reserve(options.reader_threads);
   for (std::size_t t = 0; t < options.reader_threads; ++t) {
@@ -299,17 +303,21 @@ Status RunMixedLoad(ShardedServer* server, const MixedLoadOptions& options,
       std::vector<KnntaResult> results;
       std::size_t i = t;  // stagger the starting query per thread
       while (MillisSince(start) < options.duration_ms) {
-        (void)server->Query(options.queries[i % options.queries.size()],
-                            &results);
+        const auto query_start = Clock::now();
+        const Status st = server->Query(
+            options.queries[i % options.queries.size()], &results);
+        if (st.ok()) latencies[t].Record(MillisSince(query_start) * 1000.0);
         ++i;
       }
     });
   }
   for (std::thread& t : readers) t.join();
+  report->wall_ms = MillisSince(start);
+  const auto drain_start = Clock::now();
   done.store(true, std::memory_order_release);
   writer.join();
   server->WaitForIngest();
-  report->wall_ms = MillisSince(start);
+  report->drain_ms = MillisSince(drain_start);
 
   const ServerStats after = server->stats();
   report->reads_ok = after.queries_ok - before.queries_ok;
@@ -326,13 +334,13 @@ Status RunMixedLoad(ShardedServer* server, const MixedLoadOptions& options,
       after.reads_during_quarantine - before.reads_during_quarantine;
   report->quarantines = after.fault.quarantines - before.fault.quarantines;
   report->repairs = after.fault.repairs - before.fault.repairs;
-  report->read_latency = after.latency;
+  for (const LatencySnapshot& l : latencies) report->read_latency += l;
   report->repair_latency = after.fault.repair_latency;
   if (report->wall_ms > 0.0) {
     report->read_qps =
         1e3 * static_cast<double>(report->reads_ok) / report->wall_ms;
-    report->write_qps =
-        1e3 * static_cast<double>(report->writes) / report->wall_ms;
+    report->write_qps = 1e3 * static_cast<double>(report->writes) /
+                        (report->wall_ms + report->drain_ms);
   }
   return server->ingest_status();
 }

@@ -194,7 +194,11 @@ struct MixedLoadOptions {
 
 /// \brief What a mixed read/write run measured.
 struct MixedLoadReport {
+  /// The reader window: from the start until the last reader finished.
   double wall_ms = 0.0;
+  /// Stopping the write stream and draining the ingest backlog after the
+  /// window; no reads run in it.
+  double drain_ms = 0.0;
   std::uint64_t reads_ok = 0;
   std::uint64_t reads_shed = 0;
   std::uint64_t reads_failed = 0;
@@ -206,8 +210,11 @@ struct MixedLoadReport {
   std::uint64_t reads_during_quarantine = 0;
   std::uint64_t quarantines = 0;
   std::uint64_t repairs = 0;
+  /// reads_ok per second of the reader window.
   double read_qps = 0.0;
+  /// Epochs applied per second of the window plus the drain.
   double write_qps = 0.0;
+  /// This run's successful reads as timed by the reader threads.
   LatencySnapshot read_latency;
   LatencySnapshot repair_latency;
 
@@ -218,7 +225,8 @@ struct MixedLoadReport {
 };
 
 /// Runs readers + the paced write stream against `server` for
-/// `options.duration_ms`, then drains ingestion and fills `report`.
+/// `options.duration_ms`, then drains ingestion and fills `report` with
+/// this run's counts (deltas of the server's stats).
 /// The server must be Start()ed.
 Status RunMixedLoad(ShardedServer* server, const MixedLoadOptions& options,
                     MixedLoadReport* report);

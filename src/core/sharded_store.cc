@@ -233,7 +233,9 @@ void ShardedStore::PinCoherentCut(std::vector<TreeSnapshot>* snaps,
   // Writers are committing faster than a pin sweep completes; hold them
   // off for one sweep. The latch covers only the N Acquire calls (a few
   // atomics each), never the query work, and readers reach this path
-  // only under sustained write pressure.
+  // only under sustained write pressure. The failed sweep's pins go
+  // first: the latch holder may be draining one of those replicas.
+  snaps->clear();
   MutexLock lock(&writer_mu_);
   pin_all();
 }

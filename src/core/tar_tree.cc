@@ -244,20 +244,16 @@ Status TarTree::InsertPoi(const Poi& poi,
                           const std::vector<std::int32_t>& history) {
   SingleWriterGuard guard(this);
   TAR_RETURN_NOT_OK(CheckMutable());
-  TAR_RETURN_NOT_OK(PrevalidateInsert(poi));
   Lsn lsn = 0;
   if (wal_ != nullptr) {
     // Log-before-mutate: a failed append leaves the tree untouched; a
-    // logged record is guaranteed replayable by the prevalidation above.
-    for (std::size_t e = 0; e < history.size(); ++e) {
-      if (history[e] <= 0) continue;
-      TAR_RETURN_NOT_OK(
-          Tia::CheckPackable(options_.grid.EpochExtent(e), history[e]));
-    }
-    auto appended = wal_->Append(
-        WalRecord::MakeInsertPoi(poi.id, poi.pos.x, poi.pos.y, history));
-    TAR_RETURN_NOT_OK(appended.status());
-    lsn = appended.ValueOrDie();
+    // logged record is guaranteed replayable by its prevalidation.
+    const WalRecord record =
+        WalRecord::MakeInsertPoi(poi.id, poi.pos.x, poi.pos.y, history);
+    TAR_RETURN_NOT_OK(PrevalidateRecord(record));
+    TAR_ASSIGN_OR_RETURN(lsn, wal_->Append(record));
+  } else {
+    TAR_RETURN_NOT_OK(PrevalidateInsert(poi));
   }
   Status st = InsertPoiUnlogged(poi, history);
   if (!st.ok()) {
@@ -539,15 +535,8 @@ Status TarTree::AppendEpoch(
   TAR_RETURN_NOT_OK(PrevalidateEpoch(epoch, aggs));
   Lsn lsn = 0;
   if (wal_ != nullptr) {
-    std::vector<std::pair<std::uint32_t, std::int64_t>> pairs;
-    pairs.reserve(aggs.size());
-    for (const auto& [poi, agg] : aggs) {
-      if (agg > 0) pairs.emplace_back(poi, agg);
-    }
-    auto appended =
-        wal_->Append(WalRecord::MakeAppendEpoch(epoch, std::move(pairs)));
-    TAR_RETURN_NOT_OK(appended.status());
-    lsn = appended.ValueOrDie();
+    TAR_ASSIGN_OR_RETURN(lsn,
+                         wal_->Append(WalRecord::MakeEpochBatch(epoch, aggs)));
   }
   Status st = AppendEpochUnlogged(epoch, aggs);
   if (!st.ok()) {

@@ -163,7 +163,7 @@ class TarTree {
   WalWriter* wal() const { return wal_; }
 
   /// LSN of the last mutation applied to this tree (0 = none). Persisted
-  /// in the v2 footer so recovery knows where a snapshot's history ends.
+  /// in the file footer so recovery knows where a snapshot's history ends.
   Lsn applied_lsn() const { return applied_lsn_; }
 
   /// Replays one WAL record (recovery path; no WAL should be attached).
@@ -363,19 +363,16 @@ class TarTree {
   };
 
   /// Serializes the index (structure, boxes, TIA records, normalizers) to
-  /// a binary stream in format v2: sectioned, with a CRC-32C per section
-  /// and a trailing whole-file checksum (see docs/internals.md, "Failure
-  /// model"). The footer also records applied_lsn(), making the file a
-  /// recovery checkpoint. Load restores an exact structural copy: same
-  /// nodes, same grouping, same query costs. Load also accepts legacy v1
-  /// files and v2 files written before the footer carried an LSN.
-  /// Refuses to serialize a poisoned tree.
+  /// a binary stream in the one file format (version 2): sectioned, with a
+  /// CRC-32C per section and a footer holding the whole-file checksum and
+  /// applied_lsn(), which makes every saved file a recovery checkpoint (see
+  /// docs/internals.md, "Failure model"). Refuses to serialize a poisoned
+  /// tree.
   Status Save(std::ostream& out) const;
 
-  /// Legacy format v1 writer (no checksums). Kept so backward
-  /// compatibility of the v1 loader stays testable; new code saves v2.
-  Status SaveV1(std::ostream& out) const;
-
+  /// Restores an exact structural copy of a saved tree: same nodes, same
+  /// grouping, same query costs. Any other format version fails with
+  /// NotSupported; a bad checksum, footer or section fails with Corruption.
   static Result<std::unique_ptr<TarTree>> Load(std::istream& in,
                                                const LoadOptions& options);
   static Result<std::unique_ptr<TarTree>> Load(std::istream& in) {
@@ -439,13 +436,6 @@ class TarTree {
                                           AccessStats* stats,
                                           QueryTrace::Phase* phase,
                                           QueryDeadline* deadline) const;
-
-  /// Per-version load paths behind Load's magic/version dispatch. Both
-  /// receive the stream positioned just past the 8-byte preamble.
-  static Result<std::unique_ptr<TarTree>> LoadV1(std::istream& in,
-                                                 const LoadOptions& options);
-  static Result<std::unique_ptr<TarTree>> LoadV2(std::istream& in,
-                                                 const LoadOptions& options);
 
   /// What an in-flight insertion contributes to the entries on its path.
   struct InsertionInfo {

@@ -34,45 +34,32 @@ SnapshotStore::~SnapshotStore() {
   TAR_DCHECK(slots_[1].readers.load(std::memory_order_acquire) == 0);
 }
 
-Result<std::unique_ptr<TarTree>> SnapshotStore::RecoverReplica(
-    const SnapshotStoreOptions& options) {
-  const bool durable = !options.wal_path.empty();
-  if (durable &&
-      std::ifstream(options.snapshot_path, std::ios::binary).is_open()) {
-    // Replicas replay the same snapshot + log: replay is deterministic
-    // and idempotent by LSN, so they converge on the same state (the
-    // PR-5 double-replay guarantee).
-    return Recover(options.snapshot_path, options.wal_path, options.load);
-  }
-  auto tree = std::make_unique<TarTree>(options.tree);
-  if (durable &&
-      std::ifstream(options.wal_path, std::ios::binary).is_open()) {
-    // Crash before the first checkpoint: no snapshot file yet, but the
-    // log may hold mutations. Replay its valid prefix.
-    auto opened = WalReader::Open(options.wal_path);
-    TAR_RETURN_NOT_OK(opened.status());
-    std::unique_ptr<WalReader> reader = std::move(opened).ValueOrDie();
-    WalRecord record;
-    while (reader->Next(&record)) {
-      TAR_RETURN_NOT_OK(tree->ApplyWalRecord(record));
-    }
-  }
-  return tree;
-}
-
 Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(
     const SnapshotStoreOptions& options) {
   if (options.snapshot_path.empty() != options.wal_path.empty()) {
     return Status::InvalidArgument(
         "snapshot_path and wal_path must be set together");
   }
+  const bool durable = !options.wal_path.empty();
+  // A durable store always has a snapshot: a fresh one starts from an
+  // empty tree at LSN 0, so a log written before the first checkpoint
+  // replays over it like any other.
+  if (durable &&
+      !std::ifstream(options.snapshot_path, std::ios::binary).is_open()) {
+    TAR_RETURN_NOT_OK(TarTree(options.tree).SaveToFile(options.snapshot_path));
+  }
   std::unique_ptr<SnapshotStore> store(new SnapshotStore(options));
   MutexLock lock(&store->writer_mu_);
-  const bool durable = !options.wal_path.empty();
   for (std::uint32_t s = 0; s < 2; ++s) {
-    auto recovered = RecoverReplica(options);
-    TAR_RETURN_NOT_OK(recovered.status());
-    store->slots_[s].tree = std::move(recovered).ValueOrDie();
+    if (durable) {
+      // Replicas replay the same snapshot + log: replay is deterministic
+      // and idempotent by LSN, so they converge on the same state.
+      TAR_ASSIGN_OR_RETURN(
+          store->slots_[s].tree,
+          Recover(options.snapshot_path, options.wal_path, options.load));
+    } else {
+      store->slots_[s].tree = std::make_unique<TarTree>(options.tree);
+    }
   }
   if (durable) {
     auto wal = WalWriter::Open(options.wal_path, options.wal,
@@ -202,30 +189,16 @@ Status SnapshotStore::InsertPoi(const Poi& poi,
       WalRecord::MakeInsertPoi(poi.id, poi.pos.x, poi.pos.y, history));
 }
 
-namespace {
-
-WalRecord MakeEpochRecord(std::int64_t epoch,
-                          const std::unordered_map<PoiId, std::int64_t>& aggs) {
-  std::vector<std::pair<std::uint32_t, std::int64_t>> pairs;
-  pairs.reserve(aggs.size());
-  for (const auto& [poi, agg] : aggs) {
-    if (agg > 0) pairs.emplace_back(poi, agg);
-  }
-  return WalRecord::MakeAppendEpoch(epoch, std::move(pairs));
-}
-
-}  // namespace
-
 Status SnapshotStore::AppendEpoch(
     std::int64_t epoch, const std::unordered_map<PoiId, std::int64_t>& aggs) {
-  WalRecord record = MakeEpochRecord(epoch, aggs);
+  WalRecord record = WalRecord::MakeEpochBatch(epoch, aggs);
   MutexLock lock(&writer_mu_);
   return ApplyBoth(std::move(record));
 }
 
 Status SnapshotStore::StageEpoch(
     std::int64_t epoch, const std::unordered_map<PoiId, std::int64_t>& aggs) {
-  WalRecord record = MakeEpochRecord(epoch, aggs);
+  WalRecord record = WalRecord::MakeEpochBatch(epoch, aggs);
   MutexLock lock(&writer_mu_);
   return StageRecord(std::move(record));
 }
@@ -319,9 +292,8 @@ Status SnapshotStore::Reopen(ReopenReport* report) {
   // unchanged and the reopen retryable.
   std::unique_ptr<TarTree> fresh[2];
   for (std::uint32_t s = 0; s < 2; ++s) {
-    auto recovered = RecoverReplica(options_);
-    TAR_RETURN_NOT_OK(recovered.status());
-    fresh[s] = std::move(recovered).ValueOrDie();
+    TAR_ASSIGN_OR_RETURN(fresh[s], Recover(options_.snapshot_path,
+                                           options_.wal_path, options_.load));
   }
   const Lsn resume_after = fresh[0]->applied_lsn();
   WalReopenReport wal_report;

@@ -16,11 +16,12 @@
 // the writer waits for reader drain, which terminates because every
 // post-flip reader lands on the new replica.
 //
-// Durability: with a WAL path the store is exactly a PR-5 single-tree
-// store on disk (snapshot file + log); Open() recovers both replicas by
-// replaying the same log (replay is deterministic and idempotent by LSN,
-// so the replicas converge). Without a WAL path the store is in-memory
-// and LSNs come from an internal counter.
+// Durability: with a WAL path the store is a single-tree store on disk
+// (snapshot file + log). Open() saves an empty snapshot when there is
+// none, then recovers both replicas through Recover() — snapshot plus the
+// same log, deterministic and idempotent by LSN, so the replicas
+// converge; Reopen() takes the same path. Without a WAL path the store is
+// in-memory and LSNs come from an internal counter.
 #pragma once
 
 #include <atomic>
@@ -118,9 +119,9 @@ struct SnapshotStoreOptions {
 /// latch — callers need no external exclusion.
 class SnapshotStore {
  public:
-  /// Creates or recovers a store. With snapshot/wal paths, an existing
-  /// snapshot file is recovered and the log replayed (per-replica); a
-  /// fresh store starts empty and checkpoints lazily.
+  /// Creates or recovers a store. With snapshot/wal paths, a missing
+  /// snapshot file is first written as an empty tree (LSN 0); then each
+  /// replica is recovered from the snapshot plus the log's valid prefix.
   static Result<std::unique_ptr<SnapshotStore>> Open(
       const SnapshotStoreOptions& options);
 
@@ -229,11 +230,6 @@ class SnapshotStore {
   friend class TreeSnapshot;
 
   explicit SnapshotStore(const SnapshotStoreOptions& options);
-
-  /// Recovers one replica's tree from snapshot + WAL (or WAL alone before
-  /// the first checkpoint) per `options`; shared by Open and Reopen.
-  static Result<std::unique_ptr<TarTree>> RecoverReplica(
-      const SnapshotStoreOptions& options);
 
   /// Where the store is in the stage -> publish -> catch-up cycle.
   enum class StagePhase : unsigned char { kIdle, kStaged, kPublished };

@@ -165,6 +165,17 @@ WalRecord WalRecord::MakeAppendEpoch(
   return rec;
 }
 
+WalRecord WalRecord::MakeEpochBatch(
+    std::int64_t epoch,
+    const std::unordered_map<std::uint32_t, std::int64_t>& aggs) {
+  std::vector<std::pair<std::uint32_t, std::int64_t>> pairs;
+  pairs.reserve(aggs.size());
+  for (const auto& [poi, agg] : aggs) {
+    if (agg > 0) pairs.emplace_back(poi, agg);
+  }
+  return MakeAppendEpoch(epoch, std::move(pairs));
+}
+
 WalRecord WalRecord::MakeCheckpoint(Lsn durable_lsn) {
   WalRecord rec;
   rec.type = Type::kCheckpoint;

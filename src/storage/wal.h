@@ -39,6 +39,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -84,6 +85,12 @@ struct WalRecord {
   static WalRecord MakeAppendEpoch(
       std::int64_t epoch,
       std::vector<std::pair<std::uint32_t, std::int64_t>> aggs);
+  /// The kAppendEpoch record of an epoch batch as TarTree::AppendEpoch
+  /// takes it: only positive aggregates are kept (the rest digest to
+  /// nothing).
+  static WalRecord MakeEpochBatch(
+      std::int64_t epoch,
+      const std::unordered_map<std::uint32_t, std::int64_t>& aggs);
   static WalRecord MakeCheckpoint(Lsn durable_lsn);
 };
 

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "analysis/structure_verifier.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/recovery.h"
@@ -355,13 +356,37 @@ TEST(CorruptionInjectionTest, FlippedMagicByteIsCorruption) {
   EXPECT_TRUE(TarTree::Load(corrupted).status().IsCorruption());
 }
 
+/// Recomputes every frame checksum of a saved tree (each section's CRC,
+/// then the footer's whole-file and frame CRCs), so a deliberate payload
+/// edit loads as a well-formed file. Frames are u32 tag | u64 len |
+/// payload | u32 crc after the 8-byte preamble; the footer (tag 0xF00F)
+/// carries the CRC of every byte before it plus the applied LSN.
+std::string ResignFrames(std::string bytes) {
+  std::size_t off = 8;
+  for (;;) {
+    std::uint32_t tag = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&tag, bytes.data() + off, sizeof(tag));
+    std::memcpy(&len, bytes.data() + off + 4, sizeof(len));
+    char* payload = &bytes[off + 12];
+    if (tag == 0xF00Fu) {
+      const std::uint32_t file_crc = Crc32c(bytes.data(), off);
+      std::memcpy(payload, &file_crc, sizeof(file_crc));
+    }
+    const std::uint32_t crc = Crc32c(payload, len);
+    std::memcpy(payload + len, &crc, sizeof(crc));
+    off += 12 + len + 4;
+    if (tag == 0xF00Fu) return bytes;
+  }
+}
+
 TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
   // One POI gets a distinctive aggregate no other field in the file can
   // produce. Its 8-byte little-endian pattern appears in the POI registry
   // (written first), in ancestor summary TIAs, and in the POI's own leaf
   // TIA record; nodes are serialized parent-before-child, so the LAST
   // occurrence in the byte stream is the leaf record. Flipping its low
-  // byte leaves a well-formed file whose leaf TIA total disagrees with
+  // byte leaves a well-formed tree whose leaf TIA total disagrees with
   // the registered POI total — exactly the redundancy the deep verifier
   // cross-checks.
   auto tree = MakeTree(41, 80, GroupingStrategy::kIntegral3D);
@@ -370,12 +395,9 @@ TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
   hist[0] = kDistinctive;
   ASSERT_TRUE(tree->InsertPoi({900, {50, 50}}, hist).ok());
 
-  // Use the legacy unchecksummed v1 format: the deep verifier is the only
-  // line of defense there (in v2 the section CRC would catch the flip
-  // before the tree even parses; see the v2 assertion at the end).
   std::stringstream buffer;
-  ASSERT_TRUE(tree->SaveV1(buffer).ok());
-  std::string bytes = buffer.str();
+  ASSERT_TRUE(tree->Save(buffer).ok());
+  const std::string bytes = buffer.str();
 
   std::string pattern(sizeof(std::int64_t), '\0');
   std::int64_t value = kDistinctive;
@@ -384,10 +406,26 @@ TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
   ASSERT_NE(pos, std::string::npos);
   ASSERT_GT(pos, 0u);
 
-  std::string corrupted_bytes = bytes;
-  corrupted_bytes[pos] ^= 0x01;  // 77777 -> 77776: still positive
+  std::string flipped = bytes;
+  flipped[pos] ^= 0x01;  // 77777 -> 77776: still positive
 
-  // A shallow load accepts the flipped v1 file: the tree parses and its
+  // As saved, the flip never reaches the verifier: the section checksum
+  // rejects it at load, naming the damaged section.
+  {
+    std::stringstream corrupted(flipped);
+    auto res = TarTree::Load(corrupted);
+    ASSERT_FALSE(res.ok());
+    EXPECT_TRUE(res.status().IsCorruption()) << res.status().ToString();
+    EXPECT_NE(res.status().ToString().find("checksum"), std::string::npos)
+        << res.status().ToString();
+  }
+
+  // Re-signed, every checksum agrees with the flipped payload, so the
+  // deep verifier is the only line of defense left.
+  ASSERT_EQ(ResignFrames(bytes), bytes);
+  const std::string corrupted_bytes = ResignFrames(flipped);
+
+  // A shallow load accepts the re-signed file: the tree parses and its
   // R-tree-level invariants still hold.
   {
     std::stringstream corrupted(corrupted_bytes);
@@ -412,23 +450,6 @@ TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
     load_options.deep_verifier = analysis::DeepVerifyOnLoad();
     auto loaded = TarTree::Load(clean, load_options);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  }
-
-  // In format v2 the same flip never reaches the verifier: the section
-  // checksum rejects it at load, naming the damaged section.
-  {
-    std::stringstream v2buf;
-    ASSERT_TRUE(tree->Save(v2buf).ok());
-    std::string v2bytes = v2buf.str();
-    std::size_t v2pos = v2bytes.rfind(pattern);
-    ASSERT_NE(v2pos, std::string::npos);
-    v2bytes[v2pos] ^= 0x01;
-    std::stringstream corrupted(v2bytes);
-    auto res = TarTree::Load(corrupted);
-    ASSERT_FALSE(res.ok());
-    EXPECT_TRUE(res.status().IsCorruption()) << res.status().ToString();
-    EXPECT_NE(res.status().ToString().find("checksum"), std::string::npos)
-        << res.status().ToString();
   }
 }
 

@@ -250,38 +250,6 @@ TEST_F(FaultInjectionTest, OpenFaultFailsBothDirections) {
 }
 
 // ---------------------------------------------------------------------------
-// Backward compatibility (satellite: v1 files must load identically).
-
-TEST_F(FaultInjectionTest, V1FilesLoadIdenticallyUnderV2Reader) {
-  for (TiaBackend backend : {TiaBackend::kMvbt, TiaBackend::kBpTree}) {
-    auto tree = MakeTree(31, 80, backend);
-    std::stringstream v1;
-    ASSERT_TRUE(tree->SaveV1(v1).ok());
-    auto loaded_res = TarTree::Load(v1);
-    ASSERT_TRUE(loaded_res.ok()) << loaded_res.status().ToString();
-    std::unique_ptr<TarTree> loaded = std::move(loaded_res).ValueOrDie();
-
-    EXPECT_EQ(loaded->num_pois(), tree->num_pois());
-    EXPECT_EQ(loaded->num_nodes(), tree->num_nodes());
-    EXPECT_TRUE(loaded->CheckInvariants().ok());
-
-    Rng rng(37);
-    for (int trial = 0; trial < 10; ++trial) {
-      KnntaQuery q = MakeQuery(&rng);
-      std::vector<KnntaResult> a, b;
-      ASSERT_TRUE(tree->Query(q, &a).ok());
-      ASSERT_TRUE(loaded->Query(q, &b).ok());
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].poi, b[i].poi);
-        EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
-        EXPECT_EQ(a[i].aggregate, b[i].aggregate);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Parallel driver degradation (satellite: a failing page mid-batch is
 // counted per-query; surviving queries are bit-identical to a clean run).
 

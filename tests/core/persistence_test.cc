@@ -144,19 +144,24 @@ TEST(PersistenceTest, RejectsGarbageAndTruncation) {
   std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
   EXPECT_FALSE(TarTree::Load(truncated).ok());
 
-  // Bad version.
-  std::string bad = bytes;
-  bad[4] = 99;
-  std::stringstream badver(bad);
-  EXPECT_TRUE(TarTree::Load(badver).status().IsNotSupported());
+  // Bad version: only format 2 loads; the retired flat format 1 and any
+  // unknown version are refused before a byte of payload is parsed.
+  for (const char version : {char{1}, char{99}}) {
+    std::string bad = bytes;
+    bad[4] = version;
+    std::stringstream badver(bad);
+    EXPECT_TRUE(TarTree::Load(badver).status().IsNotSupported())
+        << "version " << int{version};
+  }
 }
 
-TEST(PersistenceTest, AcceptsLegacyCrcOnlyFooter) {
-  // v2 files written before the footer carried an applied WAL LSN end in
-  // a 20-byte footer frame (u32 tag | u64 len=4 | u32 file_crc | u32
-  // frame_crc) instead of today's 28-byte one (payload = file_crc + LSN).
+TEST(PersistenceTest, RejectsPreLsnCrcOnlyFooter) {
+  // Files written before the footer carried an applied WAL LSN end in a
+  // 20-byte footer frame (u32 tag | u64 len=4 | u32 file_crc | u32
+  // frame_crc) instead of the 28-byte one (payload = file_crc + LSN).
   // Craft one from a fresh save: same file_crc (the bytes before the
   // footer are unchanged), frame CRC recomputed over the 4-byte payload.
+  // Without an LSN the file cannot anchor recovery, so it is corrupt.
   auto tree = MakeTree(19, 60, GroupingStrategy::kIntegral3D);
   std::stringstream buffer;
   ASSERT_TRUE(tree->Save(buffer).ok());
@@ -181,11 +186,8 @@ TEST(PersistenceTest, AcceptsLegacyCrcOnlyFooter) {
 
   std::stringstream in(legacy);
   auto loaded = TarTree::Load(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.ValueOrDie()->num_pois(), tree->num_pois());
-  // A pre-LSN file has no recorded history: recovery must replay the
-  // whole log over it.
-  EXPECT_EQ(loaded.ValueOrDie()->applied_lsn(), 0u);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
 TEST(PersistenceTest, FileRoundTrip) {

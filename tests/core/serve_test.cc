@@ -167,6 +167,42 @@ TEST(ServeTest, ReadsCompleteWhileEpochsAreApplied) {
   }
 }
 
+TEST(ServeTest, MixedLoadReportsTheRunNotTheServerLifetime) {
+  std::unique_ptr<ShardedStore> store = MakeStore();
+  ShardedServer server(store.get(), ServeOptions{});
+  server.Start();
+
+  MixedLoadOptions mopt;
+  mopt.reader_threads = 2;
+  mopt.duration_ms = 250.0;
+  mopt.write_interval_ms = 2.0;
+  mopt.first_epoch = 4;
+  for (std::int64_t e = 0; e < 4; ++e) {
+    mopt.epoch_batches.push_back(EpochBatch(e));
+  }
+  for (int i = 0; i < 8; ++i) mopt.queries.push_back(ProbeQuery(i));
+
+  // Two runs on one server: the second must not inherit the first's
+  // reads, and neither may charge the ingest drain to the readers.
+  for (int run = 0; run < 2; ++run) {
+    MixedLoadReport report;
+    ASSERT_TRUE(RunMixedLoad(&server, mopt, &report).ok());
+    ASSERT_GT(report.reads_ok, 0u) << "run " << run;
+    mopt.first_epoch += static_cast<std::int64_t>(report.writes);
+    EXPECT_EQ(report.read_latency.count, report.reads_ok) << "run " << run;
+    EXPECT_GE(report.wall_ms, mopt.duration_ms) << "run " << run;
+    // The window ends one query after duration_ms, so read_qps sits just
+    // below reads_ok per second of duration_ms.
+    const double window_qps =
+        1e3 * static_cast<double>(report.reads_ok) / mopt.duration_ms;
+    EXPECT_LE(report.read_qps, window_qps) << "run " << run;
+    EXPECT_GE(report.read_qps, 0.5 * window_qps) << "run " << run;
+    EXPECT_NE(report.ToJson("test", 4, 2).find("\"drain_ms\":"),
+              std::string::npos);
+  }
+  server.Stop();
+}
+
 TEST(ServeTest, IngestFailureStopsWriterButNotReaders) {
   std::unique_ptr<ShardedStore> store = MakeStore();
   ShardedServer server(store.get(), ServeOptions{});

@@ -245,8 +245,8 @@ TEST_F(DurableSnapshotStoreTest, ReopenReplaysWalWithoutCheckpoint) {
     std::unique_ptr<SnapshotStore> store = OpenDurable();
     Mutate(store.get());
     ASSERT_TRUE(store->Flush().ok());
-    // No checkpoint: the snapshot file was never written, so reopen must
-    // rebuild both replicas purely from the log.
+    // No checkpoint: the snapshot is still the empty LSN-0 tree Open
+    // wrote, so reopen must rebuild both replicas from the whole log.
   }
   std::unique_ptr<SnapshotStore> reopened = OpenDurable();
   {
@@ -262,6 +262,26 @@ TEST_F(DurableSnapshotStoreTest, ReopenReplaysWalWithoutCheckpoint) {
   std::unordered_map<PoiId, std::int64_t> more{{2, 3}};
   ASSERT_TRUE(reopened->AppendEpoch(4, more).ok());
   EXPECT_EQ(reopened->applied_lsn(), 7u);
+}
+
+TEST_F(DurableSnapshotStoreTest, OpenSavesEmptySnapshotAndReplaysOrphanLog) {
+  {
+    std::unique_ptr<SnapshotStore> store = OpenDurable();
+    // A fresh durable store starts from an empty snapshot at LSN 0.
+    auto empty = TarTree::LoadFromFile(snap_);
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    EXPECT_TRUE(empty.ValueOrDie()->empty());
+    EXPECT_EQ(empty.ValueOrDie()->applied_lsn(), 0u);
+    Mutate(store.get());
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  // A log whose snapshot is gone (a store written before every durable
+  // Open saved one) replays in full over a fresh empty snapshot.
+  ASSERT_EQ(std::remove(snap_.c_str()), 0);
+  std::unique_ptr<SnapshotStore> reopened = OpenDurable();
+  TreeSnapshot snap = reopened->Acquire();
+  EXPECT_EQ(snap.tree().applied_lsn(), 6u);
+  ExpectSameAnswers(snap.tree(), *Reference(), 4);
 }
 
 TEST_F(DurableSnapshotStoreTest, ReopenAfterCheckpointAndTailReplay) {

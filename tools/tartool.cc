@@ -851,7 +851,7 @@ std::unique_ptr<TarTree> BuildCrashTree(std::uint64_t seed, double scale,
   return tree;
 }
 
-/// Byte offsets where each v2 frame starts (walked from the clean bytes).
+/// Byte offsets where each frame starts (walked from the clean bytes).
 std::vector<std::size_t> FrameBoundaries(const std::string& bytes) {
   std::vector<std::size_t> cuts;
   std::size_t off = 8;  // past magic + version
@@ -1979,15 +1979,7 @@ int ShardKillRound(std::uint64_t seed, std::size_t shards,
                    rs, (!gs.ok() ? gs : ws).ToString().c_str());
       return 2;
     }
-    bool same = got.size() == want.size();
-    for (std::size_t i = 0; same && i < got.size(); ++i) {
-      same = got[i].poi == want[i].poi &&
-             std::memcmp(&got[i].score, &want[i].score, sizeof(double)) ==
-                 0 &&
-             std::memcmp(&got[i].dist, &want[i].dist, sizeof(double)) == 0 &&
-             got[i].aggregate == want[i].aggregate;
-    }
-    if (!same) {
+    if (!SameResults(got, want)) {
       std::fprintf(stderr,
                    "shard-kill seed %llu: healed store diverged from the "
                    "fault-free reference (probe at %.2f,%.2f: %zu vs %zu "
@@ -2392,10 +2384,11 @@ int Serve(const std::map<std::string, std::string>& flags) {
               report.read_qps,
               static_cast<unsigned long long>(report.reads_shed),
               static_cast<unsigned long long>(report.reads_failed));
-  std::printf("       %llu epochs ingested (%.1f/s), %llu checkpoints, "
-              "%llu reads completed during writes\n",
+  std::printf("       %llu epochs ingested (%.1f/s, %.0f ms drain after "
+              "the readers), %llu checkpoints, %llu reads completed during "
+              "writes\n",
               static_cast<unsigned long long>(report.writes),
-              report.write_qps,
+              report.write_qps, report.drain_ms,
               static_cast<unsigned long long>(report.checkpoints),
               static_cast<unsigned long long>(report.reads_during_write));
   std::printf("       read latency p50 %.1f us, p95 %.1f us, p99 %.1f us\n",
