@@ -1,13 +1,15 @@
 // kNNTA latency bench: drives the paper workload through the parallel
 // query driver and reports wall time, throughput, latency percentiles
 // (p50/p95/p99 from the merged per-query histogram) and per-batch
-// buffer-pool hit rates, at 1 thread and at hardware concurrency.
+// buffer-pool hit rates along a thread-scaling curve: 1, 2, 4, ... threads
+// and finally hardware concurrency (nproc).
 //
 //   bench_knnta [--json [--out FILE]]
 //
 // --json writes a machine-readable report (default BENCH_knnta.json,
 // validated in CI with `python3 -m json.tool`) instead of the tables.
 // Scale and query count honour TAR_BENCH_SCALE / TAR_BENCH_QUERIES.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -73,9 +75,12 @@ int main(int argc, char** argv) {
   std::vector<KnntaQuery> queries = PaperQueries(bd, QueriesFromEnv());
 
   const std::size_t hw =
-      std::max<std::size_t>(2, std::thread::hardware_concurrency());
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  std::vector<std::size_t> curve;
+  for (std::size_t t = 1; t < hw; t *= 2) curve.push_back(t);
+  curve.push_back(hw);
   std::vector<RunResult> runs;
-  for (std::size_t threads : {std::size_t{1}, hw}) {
+  for (std::size_t threads : curve) {
     ParallelQueryOptions opt;
     opt.num_threads = threads;
     RunResult r;

@@ -182,6 +182,11 @@ void LatencyHistogram::Reset() {
   max_nanos_.store(0, std::memory_order_relaxed);
 }
 
+std::size_t Counter::NextStripe() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

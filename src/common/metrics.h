@@ -51,18 +51,43 @@ bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
 /// \brief A monotonically increasing event count.
+///
+/// Striped: each thread adds to one of kStripes cache-line-padded slots
+/// (picked once per thread, round robin), so threads that bump the same
+/// hot counter (every buffer-pool hit, with metrics on) do not contend
+/// for one cache line. value() sums the slots, so the count stays exact.
 class Counter {
  public:
   void Increment(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    stripes_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (const Stripe& s : stripes_) {
+      sum += s.value.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Reset() {
+    for (Stripe& s : stripes_) s.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  static constexpr std::size_t kStripes = 8;
+
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  /// This thread's stripe, assigned on its first increment.
+  static std::size_t ThreadStripe() {
+    static thread_local std::size_t stripe = kStripes;
+    if (stripe == kStripes) stripe = NextStripe();
+    return stripe;
+  }
+  static std::size_t NextStripe();
+
+  std::array<Stripe, kStripes> stripes_{};
 };
 
 /// \brief A last-write-wins instantaneous value (e.g. resident pages).

@@ -1,29 +1,39 @@
 #include "storage/buffer_pool.h"
 
-#include "common/check.h"
+#include <algorithm>
+#include <string>
+
 #include "common/failpoint.h"
 #include "common/metrics.h"
 
 namespace tar {
 
-bool BufferPool::TouchLocked(Shard& shard, OwnerId owner, PageId id) {
+namespace {
+
+// Counters are written only under their shard's latch, so a plain
+// load-and-store is exact; readers sum them unlatched.
+void BumpLocked(std::atomic<std::uint64_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
+}  // namespace
+
+bool BufferPool::TouchLocked(Shard& shard, OwnerId owner, PageId id,
+                             const Page** page) {
   shard.mu.AssertHeld();
   const std::size_t quota = quota_.load(std::memory_order_relaxed);
   if (quota == 0) return false;
-  OwnerCache& cache = shard.caches[owner];
-  auto it = cache.where.find(id);
-  if (it != cache.where.end()) {
-    cache.lru.splice(cache.lru.begin(), cache.lru, it->second);
+  OwnerCache& frames = shard.caches[owner];
+  for (auto it = frames.begin(); it != frames.end(); ++it) {
+    if (it->id != id) continue;
+    *page = it->page;
+    std::rotate(frames.begin(), it, it + 1);
     return true;
   }
-  cache.lru.push_front(id);
-  cache.where[id] = cache.lru.begin();
-  while (cache.lru.size() > quota) {
-    cache.where.erase(cache.lru.back());
-    cache.lru.pop_back();
-  }
-  TAR_DCHECK(cache.lru.size() == cache.where.size());
-  TAR_DCHECK(cache.lru.size() <= quota);
+  *page = file_->UnaccountedPage(id);
+  frames.insert(frames.begin(), Frame{id, *page});
+  if (frames.size() > quota) frames.resize(quota);
   return false;
 }
 
@@ -32,32 +42,30 @@ Result<const Page*> BufferPool::Fetch(OwnerId owner, PageId id,
   // Injected before the LRU is touched, so a failed fetch leaves the pool
   // state exactly as it was (CheckIntegrity holds across injected faults).
   TAR_INJECT_FAULT("buffer_pool.fetch");
+  const Page* page = nullptr;
   bool hit;
   {
     Shard& shard = ShardFor(owner);
     MutexLock lock(&shard.mu);
-    hit = TouchLocked(shard, owner, id);
+    hit = TouchLocked(shard, owner, id, &page);
+    BumpLocked(hit ? shard.hits : shard.misses);
   }
+  if (was_hit) *was_hit = hit;
   if (hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
     if (MetricsEnabled()) {
       // Resolved once and cached; the hot path pays one relaxed add.
       static Counter* const hits_metric =
           MetricsRegistry::Global().GetCounter("buffer_pool.hits");
       hits_metric->Increment();
     }
-    if (was_hit) *was_hit = true;
-    const Page* page = file_->UnaccountedPage(id);
     if (page == nullptr) return Status::OutOfRange("page id out of range");
     return page;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   if (MetricsEnabled()) {
     static Counter* const misses_metric =
         MetricsRegistry::Global().GetCounter("buffer_pool.misses");
     misses_metric->Increment();
   }
-  if (was_hit) *was_hit = false;
   return file_->ReadPage(id);
 }
 
@@ -67,9 +75,27 @@ Result<Page*> BufferPool::FetchForWrite(OwnerId owner, PageId id) {
     // Write-through: cache but always charge the write.
     Shard& shard = ShardFor(owner);
     MutexLock lock(&shard.mu);
-    TouchLocked(shard, owner, id);
+    const Page* unused = nullptr;
+    TouchLocked(shard, owner, id, &unused);
   }
   return file_->GetPageForWrite(id);
+}
+
+BufferPool::CounterSnapshot BufferPool::Snapshot() const {
+  CounterSnapshot sum;
+  for (const Shard& shard : shards_) {
+    sum.hits += shard.hits.load(std::memory_order_relaxed);
+    sum.misses += shard.misses.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+void BufferPool::ResetCounters() {
+  for (Shard& shard : shards_) {
+    MutexLock lock(&shard.mu);
+    shard.hits.store(0, std::memory_order_relaxed);
+    shard.misses.store(0, std::memory_order_relaxed);
+  }
 }
 
 Status BufferPool::CheckIntegrity() const {
@@ -78,35 +104,30 @@ Status BufferPool::CheckIntegrity() const {
     MutexLock lock(&shard.mu);
     // Stable while any shard latch is held: writers hold all of them.
     const std::size_t quota = quota_.load(std::memory_order_relaxed);
-    for (const auto& [owner, cache] : shard.caches) {
+    for (const auto& [owner, frames] : shard.caches) {
       const std::string who = "owner " + std::to_string(owner);
-      if (quota == 0 && !cache.lru.empty()) {
+      if (quota == 0 && !frames.empty()) {
         return Status::Corruption(who + ": cached pages with a zero quota");
       }
-      if (cache.lru.size() > quota) {
+      if (frames.size() > quota) {
         return Status::Corruption(who + ": residency exceeds quota (" +
-                                  std::to_string(cache.lru.size()) + " > " +
+                                  std::to_string(frames.size()) + " > " +
                                   std::to_string(quota) + ")");
       }
-      if (cache.lru.size() != cache.where.size()) {
-        return Status::Corruption(who + ": LRU list and map sizes disagree");
-      }
-      for (auto it = cache.lru.begin(); it != cache.lru.end(); ++it) {
-        auto pos = cache.where.find(*it);
-        if (pos == cache.where.end()) {
-          return Status::Corruption(who + ": LRU frame for page " +
-                                    std::to_string(*it) +
-                                    " missing from map");
+      for (auto it = frames.begin(); it != frames.end(); ++it) {
+        const std::string page = "page " + std::to_string(it->id);
+        for (auto dup = frames.begin(); dup != it; ++dup) {
+          if (dup->id == it->id) {
+            return Status::Corruption(who + ": two frames for " + page);
+          }
         }
-        if (pos->second != it) {
-          return Status::Corruption(who + ": map iterator for page " +
-                                    std::to_string(*it) +
-                                    " points at a different frame");
-        }
-        if (*it >= num_pages) {
-          return Status::Corruption(who + ": cached page " +
-                                    std::to_string(*it) +
+        if (it->id >= num_pages) {
+          return Status::Corruption(who + ": cached " + page +
                                     " beyond the end of the file");
+        }
+        if (it->page != file_->UnaccountedPage(it->id)) {
+          return Status::Corruption(who + ": frame for " + page +
+                                    " carries a different page");
         }
       }
     }
@@ -127,11 +148,8 @@ void BufferPool::set_quota(std::size_t quota) TAR_NO_THREAD_SAFETY_ANALYSIS {
   for (Shard& shard : shards_) shard.mu.AssertHeld();
   quota_.store(quota, std::memory_order_relaxed);
   for (Shard& shard : shards_) {
-    for (auto& [owner, cache] : shard.caches) {
-      while (cache.lru.size() > quota) {
-        cache.where.erase(cache.lru.back());
-        cache.lru.pop_back();
-      }
+    for (auto& [owner, frames] : shard.caches) {
+      if (frames.size() > quota) frames.resize(quota);
     }
   }
   for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {

@@ -23,10 +23,15 @@ namespace tar {
 ///
 /// Thread safety: the page directory is latched and the counters are
 /// atomic, so Allocate and the page accessors may be called concurrently.
-/// Pages are heap-allocated, so a Page* stays valid across later
-/// Allocate calls. Page *payloads* are not latched: concurrent readers are
-/// fine, but a writer of a page's bytes must be the only thread touching
-/// that page (the query path is read-only; builds are single-threaded).
+/// Page *payloads* are not latched: concurrent readers are fine, but a
+/// writer of a page's bytes must be the only thread touching that page
+/// (the query path is read-only; builds are single-threaded).
+///
+/// Pointer stability: pages are heap-allocated and never freed or moved,
+/// so a Page* handed out for an id stays valid, and keeps naming that
+/// id's page, for the file's whole lifetime, across any number of later
+/// Allocate calls. BufferPool relies on this: its frames keep the Page*
+/// and serve hits without taking this file's latch.
 ///
 /// Failure model: every accessor evaluates a failpoint site
 /// (`page_file.read`, `page_file.write`, `page_file.alloc`; see

@@ -294,54 +294,18 @@ Result<std::optional<Value>> BpTree::Get(Key key, AccessStats* stats) const {
   }
 }
 
-Status BpTree::ScanRec(PageId page_id, Key lo, Key hi,
-                       std::vector<std::pair<Key, Value>>* out,
-                       std::int64_t* sum, AccessStats* stats) const {
-  TAR_ASSIGN_OR_RETURN(const Page* page, FetchForQuery(page_id, stats));
-  bool is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
-  std::uint16_t count = page->ReadAt<std::uint16_t>(2);
-  if (is_leaf) {
-    for (std::uint16_t i = 0; i < count; ++i) {
-      std::size_t off =
-          BpNodeLayout::kHeaderBytes + i * BpNodeLayout::kSlotBytes;
-      Key k = page->ReadAt<Key>(off);
-      if (k < lo) continue;
-      if (k > hi) break;
-      if (out != nullptr) out->emplace_back(k, page->ReadAt<Value>(off + 8));
-      if (sum != nullptr) *sum += page->ReadAt<Value>(off + 8);
-    }
-    return Status::OK();
-  }
-  Key lower = kKeyMin;
-  for (std::uint16_t i = 0; i < count; ++i) {
-    std::size_t off =
-        BpNodeLayout::kHeaderBytes + i * BpNodeLayout::kSlotBytes;
-    Key upper = page->ReadAt<Key>(off);
-    // Child i covers [lower, upper); recurse iff it intersects [lo, hi].
-    if (lower <= hi && upper > lo) {
-      TAR_RETURN_NOT_OK(
-          ScanRec(static_cast<PageId>(page->ReadAt<Value>(off + 8)), lo, hi,
-                  out, sum, stats));
-    }
-    lower = upper;
-    if (lower > hi) break;
-  }
-  return Status::OK();
-}
-
 Status BpTree::RangeScan(Key lo, Key hi,
                          std::vector<std::pair<Key, Value>>* out,
                          AccessStats* stats) const {
   out->clear();
-  if (root_ == kInvalidPageId) return Status::OK();
-  return ScanRec(root_, lo, hi, out, nullptr, stats);
+  return Scan(
+      lo, hi, [out](Key k, Value v) { out->emplace_back(k, v); }, stats);
 }
 
 Result<std::int64_t> BpTree::RangeSum(Key lo, Key hi,
                                       AccessStats* stats) const {
   std::int64_t sum = 0;
-  if (root_ == kInvalidPageId) return sum;
-  TAR_RETURN_NOT_OK(ScanRec(root_, lo, hi, nullptr, &sum, stats));
+  TAR_RETURN_NOT_OK(Scan(lo, hi, [&sum](Key, Value v) { sum += v; }, stats));
   return sum;
 }
 

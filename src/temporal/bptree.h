@@ -61,6 +61,15 @@ class BpTree {
   Result<std::optional<Value>> Get(Key key,
                                    AccessStats* stats = nullptr) const;
 
+  /// Calls fn(key, value) for every pair with key in [lo, hi], in key
+  /// order, reading each page off the pool without materializing nodes.
+  /// RangeScan and RangeSum are built on it.
+  template <typename Fn>
+  Status Scan(Key lo, Key hi, Fn&& fn, AccessStats* stats = nullptr) const {
+    if (root_ == kInvalidPageId) return Status::OK();
+    return ScanRec(root_, lo, hi, fn, stats);
+  }
+
   /// All pairs with key in [lo, hi], in key order.
   Status RangeScan(Key lo, Key hi, std::vector<std::pair<Key, Value>>* out,
                    AccessStats* stats = nullptr) const;
@@ -96,9 +105,9 @@ class BpTree {
   /// Recursive erase; sets *underflow when the node dropped below minimum.
   Status EraseRec(PageId page, Key key, bool* underflow);
 
-  Status ScanRec(PageId page, Key lo, Key hi,
-                 std::vector<std::pair<Key, Value>>* out,
-                 std::int64_t* sum, AccessStats* stats) const;
+  template <typename Fn>
+  Status ScanRec(PageId page_id, Key lo, Key hi, Fn& fn,
+                 AccessStats* stats) const;
 
   Status CheckRec(PageId page, Key lo, Key hi, std::size_t depth,
                   std::size_t* leaf_depth, const std::string& path) const;
@@ -111,5 +120,38 @@ class BpTree {
   PageId root_ = kInvalidPageId;
   std::size_t size_ = 0;
 };
+
+template <typename Fn>
+Status BpTree::ScanRec(PageId page_id, Key lo, Key hi, Fn& fn,
+                       AccessStats* stats) const {
+  TAR_ASSIGN_OR_RETURN(const Page* page, FetchForQuery(page_id, stats));
+  const bool is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
+  const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
+  if (is_leaf) {
+    for (std::uint16_t i = 0; i < count; ++i) {
+      const std::size_t off =
+          BpNodeLayout::kHeaderBytes + i * BpNodeLayout::kSlotBytes;
+      const Key k = page->ReadAt<Key>(off);
+      if (k < lo) continue;
+      if (k > hi) break;
+      fn(k, page->ReadAt<Value>(off + 8));
+    }
+    return Status::OK();
+  }
+  Key lower = kKeyMin;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const std::size_t off =
+        BpNodeLayout::kHeaderBytes + i * BpNodeLayout::kSlotBytes;
+    const Key upper = page->ReadAt<Key>(off);
+    // Child i covers [lower, upper); recurse iff it intersects [lo, hi].
+    if (lower <= hi && upper > lo) {
+      const auto child = static_cast<PageId>(page->ReadAt<Value>(off + 8));
+      TAR_RETURN_NOT_OK(ScanRec(child, lo, hi, fn, stats));
+    }
+    lower = upper;
+    if (lower > hi) break;
+  }
+  return Status::OK();
+}
 
 }  // namespace tar::bptree

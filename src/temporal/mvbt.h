@@ -87,6 +87,18 @@ class Mvbt {
   Result<std::optional<Value>> Lookup(Version v, Key key,
                                       AccessStats* stats = nullptr) const;
 
+  /// Calls fn(key, value) for every record alive at version v with key in
+  /// [lo, hi], in tree (not key) order, reading each page off the pool
+  /// without materializing nodes or results. RangeScan and CountAlive are
+  /// built on it; Tia::Aggregate sums inside the visit.
+  template <typename Fn>
+  Status Scan(Version v, Key lo, Key hi, Fn&& fn,
+              AccessStats* stats = nullptr) const {
+    auto root = RootAt(v);
+    if (!root.has_value()) return Status::OK();
+    return ScanNode(v, root->page, lo, hi, fn, stats);
+  }
+
   /// All records alive at version v with key in [lo, hi], in key order.
   Status RangeScan(Version v, Key lo, Key hi,
                    std::vector<std::pair<Key, Value>>* out,
@@ -171,9 +183,9 @@ class Mvbt {
   Status VersionSplit(Version v, PageId page_id, const Node& node,
                       Node* parent, ParentOp* op);
 
-  Status RangeScanNode(Version v, PageId page, Key lo, Key hi,
-                       std::vector<std::pair<Key, Value>>* out,
-                       AccessStats* stats) const;
+  template <typename Fn>
+  Status ScanNode(Version v, PageId page_id, Key lo, Key hi, Fn& fn,
+                  AccessStats* stats) const;
 
   PageFile* file_;
   BufferPool* pool_;
@@ -185,5 +197,24 @@ class Mvbt {
   Version last_version_ = 0;
   std::vector<RootEntry> roots_;
 };
+
+template <typename Fn>
+Status Mvbt::ScanNode(Version v, PageId page_id, Key lo, Key hi, Fn& fn,
+                      AccessStats* stats) const {
+  TAR_ASSIGN_OR_RETURN(const Page* page, FetchForQuery(page_id, stats));
+  const bool is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
+  const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const Entry e = EntryAt(*page, i);
+    if (!e.AliveAt(v)) continue;
+    if (is_leaf) {
+      if (lo <= e.key_lo && e.key_lo <= hi) fn(e.key_lo, e.value);
+    } else if (e.key_lo <= hi && lo < e.key_hi) {
+      TAR_RETURN_NOT_OK(
+          ScanNode(v, static_cast<PageId>(e.value), lo, hi, fn, stats));
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace tar::mvbt

@@ -64,16 +64,6 @@ Status Tia::OverwriteRecord(std::int64_t key, std::int64_t value) {
   return bptree_->Put(key, value);
 }
 
-Status Tia::ScanRecords(
-    std::int64_t lo, std::int64_t hi,
-    std::vector<std::pair<std::int64_t, std::int64_t>>* out,
-    AccessStats* stats) const {
-  if (backend_ == TiaBackend::kMvbt) {
-    return mvbt_->RangeScanCurrent(lo, hi, out, stats);
-  }
-  return bptree_->RangeScan(lo, hi, out, stats);
-}
-
 Status Tia::CheckPackable(const TimeInterval& extent,
                           std::int64_t aggregate) {
   if (!extent.Valid()) {
@@ -135,16 +125,27 @@ Result<std::int64_t> Tia::Aggregate(const TimeInterval& iq,
   if (counted != nullptr) ++counted->aggregate_calls;
   const std::uint64_t pages_before =
       counted != nullptr ? counted->tia_page_reads : 0;
-  std::vector<std::pair<std::int64_t, std::int64_t>> hits;
-  TAR_RETURN_NOT_OK(ScanRecords(iq.start, iq.end, &hits, counted));
-  if (deadline != nullptr && counted != nullptr) {
-    deadline->ChargeTiaPages(counted->tia_page_reads - pages_before);
-  }
   std::int64_t sum = 0;
-  for (const auto& [ts, value] : hits) {
-    TAR_CHECK_CANCEL(deadline);  // Poll() amortizes the clock internally
-    TiaRecord rec = Unpack(ts, value);
+  std::size_t visited = 0;
+  auto visit = [&](std::int64_t ts, std::int64_t value) {
+    ++visited;
+    const TiaRecord rec = Unpack(ts, value);
     if (rec.extent.end <= iq.end) sum += rec.aggregate;
+  };
+  TAR_RETURN_NOT_OK(
+      backend_ == TiaBackend::kMvbt
+          ? mvbt_->Scan(mvbt_->last_version(), iq.start, iq.end, visit,
+                        counted)
+          : bptree_->Scan(iq.start, iq.end, visit, counted));
+  if (deadline != nullptr) {
+    if (counted != nullptr) {
+      deadline->ChargeTiaPages(counted->tia_page_reads - pages_before);
+    }
+    // One poll per visited record, after the charge, so a page-budget
+    // trip surfaces from this call.
+    for (std::size_t i = 0; i < visited; ++i) {
+      TAR_CHECK_CANCEL(deadline);  // Poll() amortizes the clock internally
+    }
   }
   return sum;
 }
@@ -174,7 +175,12 @@ Status Tia::Records(std::vector<TiaRecord>* out, AccessStats* stats) const {
   // Inclusive full-key-range scan: both backends treat [lo, hi] as closed,
   // so hi must be INT64_MAX (the old INT64_MAX - 1 bound dropped a record
   // keyed at the maximum representable timestamp).
-  TAR_RETURN_NOT_OK(ScanRecords(INT64_MIN, INT64_MAX, &hits, stats));
+  if (backend_ == TiaBackend::kMvbt) {
+    TAR_RETURN_NOT_OK(
+        mvbt_->RangeScanCurrent(INT64_MIN, INT64_MAX, &hits, stats));
+  } else {
+    TAR_RETURN_NOT_OK(bptree_->RangeScan(INT64_MIN, INT64_MAX, &hits, stats));
+  }
   out->reserve(hits.size());
   for (const auto& [ts, value] : hits) out->push_back(Unpack(ts, value));
   return Status::OK();

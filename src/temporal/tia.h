@@ -73,10 +73,13 @@ class Tia {
   /// Callers align iq outward to epoch boundaries first (EpochGrid), which
   /// turns the paper's "epoch intersects Iq" into containment.
   ///
-  /// `deadline` (optional) is polled cooperatively: before the backend
-  /// scan and amortized across the record loop, and the scan's page reads
-  /// are charged against its TIA-page budget. A trip surfaces as
-  /// kDeadlineExceeded/kCancelled.
+  /// The records are summed as the backend visits them: no allocation.
+  ///
+  /// `deadline` (optional) is polled cooperatively: once before the
+  /// backend scan, then, after the scan's page reads are charged against
+  /// its TIA-page budget, once per visited record (so a budget trip
+  /// surfaces from this call whenever the range holds a record). A trip
+  /// surfaces as kDeadlineExceeded/kCancelled.
   Result<std::int64_t> Aggregate(const TimeInterval& iq,
                                  AccessStats* stats = nullptr,
                                  QueryDeadline* deadline = nullptr) const;
@@ -114,9 +117,6 @@ class Tia {
   Status InsertRecord(std::int64_t key, std::int64_t value);
   Result<std::optional<std::int64_t>> LookupRecord(std::int64_t key) const;
   Status OverwriteRecord(std::int64_t key, std::int64_t value);
-  Status ScanRecords(std::int64_t lo, std::int64_t hi,
-                     std::vector<std::pair<std::int64_t, std::int64_t>>* out,
-                     AccessStats* stats) const;
 
   OwnerId owner_;
   TiaBackend backend_;

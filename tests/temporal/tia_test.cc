@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 
 namespace tar {
@@ -123,6 +126,106 @@ TEST(TiaTest, LongHistoryMatchesNaiveSum) {
     EXPECT_EQ(fx.tia.Aggregate({Epoch(a).start, Epoch(b).end}).ValueOrDie(),
               naive)
         << "epochs [" << a << "," << b << "]";
+  }
+}
+
+// A history of varied epoch lengths with gaps, long enough to span several
+// pages of either backend at a 512-byte page, with RaiseTo rewrites mixed
+// in (on MVBT those close old record versions).
+void FillVariedHistory(Tia* tia, Rng* rng) {
+  std::int64_t t = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::int64_t len = kSecondsPerDay * rng->UniformInt(1, 7);
+    const TimeInterval extent{t, t + len - 1};
+    t += len;
+    if (rng->Uniform() < 0.3) continue;  // an epoch without check-ins
+    ASSERT_TRUE(tia->Append(extent, rng->UniformInt(1, 50)).ok());
+    if (rng->Uniform() < 0.2) {
+      ASSERT_TRUE(tia->RaiseTo(extent, rng->UniformInt(1, 80)).ok());
+    }
+  }
+}
+
+TEST(TiaTest, AggregateMatchesRecordsBruteForce) {
+  // Page-access counts of this exact sequence, pinned: the streaming
+  // aggregate must touch the same pages, hit or miss, as a scan that
+  // collects its records first.
+  struct Pinned {
+    TiaBackend backend;
+    std::uint64_t hits;
+    std::uint64_t page_reads;
+  };
+  for (const Pinned& pin : {Pinned{TiaBackend::kMvbt, 24, 3660},
+                            Pinned{TiaBackend::kBpTree, 84, 1265}}) {
+    SCOPED_TRACE(ToString(pin.backend));
+    PageFile file(512);
+    BufferPool pool(&file, 3);
+    Tia tia(&file, &pool, /*owner=*/7, pin.backend);
+    Rng rng(23);
+    ASSERT_NO_FATAL_FAILURE(FillVariedHistory(&tia, &rng));
+    std::vector<TiaRecord> records;
+    ASSERT_TRUE(tia.Records(&records).ok());
+    ASSERT_EQ(records.size(), tia.num_records());
+    const std::int64_t first = records.front().extent.start;
+    const std::int64_t last = records.back().extent.end;
+    const std::int64_t far = 100 * kSecondsPerDay;
+    const TimeInterval epoch = records[5].extent;
+
+    std::vector<TimeInterval> queries = {
+        {first, last},               // whole history
+        epoch,                       // a single epoch
+        {epoch.start, epoch.start},  // an instant: holds no epoch
+        {last + 1, last + far},      // beyond history
+        {first - far, first - 1},    // before history
+        {first, epoch.end - 1},      // clips its last epoch
+    };
+    for (int i = 0; i < 200; ++i) {
+      std::int64_t a = rng.UniformInt(first, last);
+      std::int64_t b = rng.UniformInt(first, last);
+      if (a > b) std::swap(a, b);
+      queries.push_back({a, b});
+    }
+
+    pool.Clear();
+    AccessStats stats;
+    for (const TimeInterval& iq : queries) {
+      std::int64_t expected = 0;
+      for (const TiaRecord& rec : records) {
+        if (iq.start <= rec.extent.start && rec.extent.end <= iq.end) {
+          expected += rec.aggregate;
+        }
+      }
+      auto got = tia.Aggregate(iq, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.ValueOrDie(), expected)
+          << "Iq [" << iq.start << ", " << iq.end << "]";
+    }
+    EXPECT_EQ(stats.aggregate_calls, queries.size());
+    EXPECT_EQ(stats.tia_buffer_hits, pin.hits);
+    EXPECT_EQ(stats.tia_page_reads, pin.page_reads);
+  }
+}
+
+TEST(TiaTest, PageBudgetTripsInsideOneAggregate) {
+  for (TiaBackend backend : {TiaBackend::kMvbt, TiaBackend::kBpTree}) {
+    SCOPED_TRACE(ToString(backend));
+    PageFile file(512);
+    BufferPool pool(&file, 10);
+    Tia tia(&file, &pool, /*owner=*/7, backend);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(tia.Append(Epoch(i), 1 + i % 5).ok());
+    }
+    pool.Clear();  // cold: every page of the scan is a read
+
+    QueryBudget budget;
+    budget.max_tia_page_reads = 1;
+    QueryDeadline deadline(budget);
+    auto res = tia.Aggregate({Epoch(0).start, Epoch(199).end}, nullptr,
+                             &deadline);
+    EXPECT_TRUE(res.status().IsDeadlineExceeded()) << res.status().ToString();
+    EXPECT_NE(res.status().message().find("TIA page-read budget"),
+              std::string::npos);
+    EXPECT_GT(deadline.tia_page_reads(), 1u);
   }
 }
 
