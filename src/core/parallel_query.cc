@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "common/mutex.h"
@@ -20,18 +19,6 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-double EstimateRetryAfterMs(std::size_t backlog, std::size_t num_threads,
-                            double observed_query_ms, double deadline_ms) {
-  double per_query_ms = observed_query_ms;
-  if (per_query_ms <= 0.0) per_query_ms = deadline_ms;
-  if (per_query_ms <= 0.0) per_query_ms = kRetryHintFloorPerQueryMs;
-  const double threads =
-      static_cast<double>(std::max<std::size_t>(1, num_threads));
-  const double drain_ms =
-      static_cast<double>(backlog) * per_query_ms / threads;
-  return std::min(kRetryHintMaxMs, std::max(kRetryHintMinMs, drain_ms));
-}
-
 Status RunParallelQueries(const TarTree& tree,
                           const std::vector<KnntaQuery>& queries,
                           const ParallelQueryOptions& options,
@@ -47,30 +34,6 @@ Status RunParallelQueries(const TarTree& tree,
     report->partial_info.assign(queries.size(), PartialResult{});
   }
 
-  // Admission control: the bounded queue is the batch itself. Queries past
-  // the depth limit are shed before any worker starts, with a retry hint
-  // sized to the expected drain time of the admitted backlog.
-  const std::size_t admitted =
-      options.max_queue_depth > 0
-          ? std::min(queries.size(), options.max_queue_depth)
-          : queries.size();
-  if (admitted < queries.size()) {
-    // The hint is the expected drain of the admitted backlog. On a first
-    // batch (no observed latency, maybe no deadline) the estimate used to
-    // degenerate to ~1 ms; EstimateRetryAfterMs floors and clamps it.
-    const auto retry_ms = static_cast<unsigned long long>(
-        EstimateRetryAfterMs(admitted, options.num_threads,
-                             options.observed_query_ms,
-                             options.budget.deadline_ms));
-    char hint[96];
-    std::snprintf(hint, sizeof(hint),
-                  "admission queue full (depth %zu); retry-after-ms=%llu",
-                  options.max_queue_depth, retry_ms);
-    for (std::size_t i = admitted; i < queries.size(); ++i) {
-      report->statuses[i] = Status::Unavailable(hint);
-    }
-  }
-
   // Claimed-index work queue: each worker owns the slots it claims, so the
   // per-query vectors need no lock. Only the merged totals do.
   std::atomic<std::size_t> next{0};
@@ -79,28 +42,15 @@ Status RunParallelQueries(const TarTree& tree,
                       // attribute through lambda captures)
   LatencySnapshot latency;  // guarded by merge_mu, same as `total`
 
-  report->pool_before = tree.tia_buffer_pool()->Snapshot();
+  const BufferPool::CounterSnapshot pool_before =
+      tree.tia_buffer_pool()->Snapshot();
   const auto batch_start = std::chrono::steady_clock::now();
   auto worker = [&]() {
     AccessStats local;
     LatencySnapshot local_latency;
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < admitted; i = next.fetch_add(1, std::memory_order_relaxed)) {
-      // In-flight budget: once the batch has spent its wall budget,
-      // starting another query only deepens the overload — shed it.
-      // Queries already started run on under their per-query deadline.
-      if (options.batch_budget_ms > 0.0 &&
-          MicrosSince(batch_start) > options.batch_budget_ms * 1000.0) {
-        char hint[96];
-        std::snprintf(hint, sizeof(hint),
-                      "batch wall budget exhausted (%.0f ms); "
-                      "retry-after-ms=%.0f",
-                      options.batch_budget_ms,
-                      EstimateRetryAfterMs(1, 1, options.observed_query_ms,
-                                           options.budget.deadline_ms));
-        report->statuses[i] = Status::Unavailable(hint);
-        continue;
-      }
+         i < queries.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
       const auto start = std::chrono::steady_clock::now();
       QueryDeadline deadline(options.budget, options.cancel);
       QueryDeadline* dptr = deadline.armed() ? &deadline : nullptr;
@@ -134,7 +84,7 @@ Status RunParallelQueries(const TarTree& tree,
   }
   report->wall_micros = MicrosSince(batch_start);
   report->pool_delta =
-      tree.tia_buffer_pool()->Snapshot().DeltaSince(report->pool_before);
+      tree.tia_buffer_pool()->Snapshot().DeltaSince(pool_before);
 
   {
     MutexLock lock(&merge_mu);
@@ -152,9 +102,7 @@ Status RunParallelQueries(const TarTree& tree,
     } else {
       ++report->queries_failed;
       ++report->failures_by_code[st.code()];
-      if (st.IsUnavailable()) {
-        ++report->sheds;
-      } else if (st.IsDeadlineExceeded()) {
+      if (st.IsDeadlineExceeded()) {
         ++report->timeouts;
       } else if (st.IsCancelled()) {
         ++report->cancels;
@@ -170,14 +118,12 @@ Status RunParallelQueries(const TarTree& tree,
   }
   if (MetricsEnabled()) {
     MetricsRegistry& registry = MetricsRegistry::Global();
-    static Counter* const sheds_metric = registry.GetCounter("query.sheds");
     static Counter* const timeouts_metric =
         registry.GetCounter("query.timeouts");
     static Counter* const cancels_metric =
         registry.GetCounter("query.cancels");
     static Counter* const partials_metric =
         registry.GetCounter("query.partials");
-    sheds_metric->Increment(report->sheds);
     timeouts_metric->Increment(report->timeouts);
     cancels_metric->Increment(report->cancels);
     partials_metric->Increment(report->partials);

@@ -31,21 +31,10 @@ struct ParallelQueryOptions {
 
   /// Per-query budget: wall-clock deadline plus node-visit and TIA-page
   /// ceilings (see QueryBudget in common/deadline.h). The deadline clock
-  /// arms when a worker *starts* the query, not at submission; queueing
-  /// delay is governed by max_queue_depth / batch_budget_ms instead.
+  /// arms when a worker *starts* the query, not at submission. The batch
+  /// is the caller's own work list, so nothing is shed here; load
+  /// shedding belongs to ShardedServer (core/serve.h).
   QueryBudget budget;
-
-  /// Admission control: when > 0, at most this many queries are admitted
-  /// and the rest are shed up front with kUnavailable carrying a
-  /// "retry-after-ms=N" hint (the expected drain time of the admitted
-  /// backlog). 0 = unbounded.
-  std::size_t max_queue_depth = 0;
-
-  /// Batch-wide wall budget: a query *claimed* after this much wall time
-  /// has elapsed is shed with kUnavailable instead of started (it would
-  /// only deepen the overload). Queries already in flight finish under
-  /// their own per-query budget. 0 = unbounded.
-  double batch_budget_ms = 0.0;
 
   /// Degrade instead of failing: a query whose budget trips mid-search
   /// returns its current top-k prefix with OK status, and
@@ -56,34 +45,7 @@ struct ParallelQueryOptions {
   /// Optional batch-wide cancel switch, observed by every in-flight query
   /// at its cooperative check points. Not owned; may be null.
   const CancelToken* cancel = nullptr;
-
-  /// Caller-observed mean query latency in milliseconds, used to size the
-  /// "retry-after-ms" hint on sheds (a long-running server feeds its
-  /// rolling mean back in here). 0 = unknown: the hint falls back to the
-  /// per-query deadline, or to kRetryHintFloorPerQueryMs when no deadline
-  /// is set either.
-  double observed_query_ms = 0.0;
 };
-
-/// Floor for the per-query service-time estimate behind a shed's
-/// "retry-after-ms" hint when nothing has been observed yet and no
-/// deadline bounds the queries. The first batch a server runs has an
-/// empty latency histogram; without a floor the drain estimate
-/// degenerates to telling every shed client to hammer back immediately.
-inline constexpr double kRetryHintFloorPerQueryMs = 2.0;
-
-/// Clamps applied to the final hint: at least 1 ms (a 0 would read as "no
-/// hint"), at most one minute (an absurd estimate from a huge backlog
-/// must not park clients forever).
-inline constexpr double kRetryHintMinMs = 1.0;
-inline constexpr double kRetryHintMaxMs = 60'000.0;
-
-/// Expected drain time in ms of `backlog` queries over `num_threads`
-/// workers: per-query time is `observed_query_ms` when known, else the
-/// deadline, else kRetryHintFloorPerQueryMs; the product is clamped to
-/// [kRetryHintMinMs, kRetryHintMaxMs].
-double EstimateRetryAfterMs(std::size_t backlog, std::size_t num_threads,
-                            double observed_query_ms, double deadline_ms);
 
 /// \brief Per-query and aggregate outcome of a parallel batch.
 struct ParallelQueryReport {
@@ -106,7 +68,7 @@ struct ParallelQueryReport {
   double mean_query_micros = 0.0;
 
   /// Per-query latency distribution over the *completed* queries only: a
-  /// query that was shed, timed out, was cancelled, or degraded to a
+  /// query that timed out, was cancelled, or degraded to a
   /// partial prefix is counted in the outcome counters below instead, so
   /// the percentiles describe service time rather than failure time.
   /// Workers accumulate thread-private snapshots that are merged under the
@@ -121,22 +83,19 @@ struct ParallelQueryReport {
   /// true). Empty unless allow_partial.
   std::vector<PartialResult> partial_info;
 
-  /// Outcome counters for the degradation matrix: queries shed by
-  /// admission control or the batch budget (kUnavailable), aborted by
+  /// Outcome counters for the degradation matrix: queries aborted by
   /// their per-query deadline/work budget (kDeadlineExceeded), cancelled
   /// via options.cancel (kCancelled), and degraded to a partial prefix
   /// (OK status, partial_info[i].completed == false).
-  std::size_t sheds = 0;
   std::size_t timeouts = 0;
   std::size_t cancels = 0;
   std::size_t partials = 0;
 
-  /// TIA buffer-pool counters at batch start, and their advance across
-  /// the batch. The pool counters are cumulative over the tree's lifetime
-  /// (index load included), so a correct per-batch hit rate must use
-  /// `pool_delta`, never the raw totals: pool_delta.HitRate() is the
-  /// batch hit rate, pool_delta.Fetches() the batch fetch count.
-  BufferPool::CounterSnapshot pool_before;
+  /// The TIA buffer-pool counters' advance across the batch. The pool
+  /// counters are cumulative over the tree's lifetime (index load
+  /// included), so a correct per-batch hit rate must use `pool_delta`,
+  /// never the raw totals: pool_delta.HitRate() is the batch hit rate,
+  /// pool_delta.Fetches() the batch fetch count.
   BufferPool::CounterSnapshot pool_delta;
 
   /// Indices into the query batch whose statuses are non-OK.
@@ -160,7 +119,7 @@ struct ParallelQueryReport {
 /// `options.num_threads` workers. Work is claimed from a shared atomic
 /// cursor, so the assignment of queries to threads is load-balanced (and
 /// deliberately unspecified). Individual query failures — including
-/// deadline trips, cancellation, and admission sheds — are recorded in
+/// deadline trips and cancellation — are recorded in
 /// `report->statuses` without aborting the batch; the returned Status is
 /// non-OK only for invalid options.
 Status RunParallelQueries(const TarTree& tree,

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/parallel_query.h"
-
 namespace tar {
 
 namespace {
@@ -29,6 +27,18 @@ void SleepMs(double ms) {
 constexpr int kMaxBatchRequeues = 256;
 
 }  // namespace
+
+double EstimateRetryAfterMs(std::size_t backlog, std::size_t num_threads,
+                            double observed_query_ms, double deadline_ms) {
+  double per_query_ms = observed_query_ms;
+  if (per_query_ms <= 0.0) per_query_ms = deadline_ms;
+  if (per_query_ms <= 0.0) per_query_ms = kRetryHintFloorPerQueryMs;
+  const double threads =
+      static_cast<double>(std::max<std::size_t>(1, num_threads));
+  const double drain_ms =
+      static_cast<double>(backlog) * per_query_ms / threads;
+  return std::min(kRetryHintMaxMs, std::max(kRetryHintMinMs, drain_ms));
+}
 
 ShardedServer::ShardedServer(ShardedStore* store, const ServeOptions& options)
     : store_(store), options_(options) {}

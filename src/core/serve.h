@@ -34,6 +34,26 @@
 
 namespace tar {
 
+/// Floor for the per-query service-time estimate behind a shed's
+/// "retry-after-ms" hint when nothing has been observed yet and no
+/// deadline bounds the queries. The first batch a server runs has an
+/// empty latency histogram; without a floor the drain estimate
+/// degenerates to telling every shed client to hammer back immediately.
+inline constexpr double kRetryHintFloorPerQueryMs = 2.0;
+
+/// Clamps applied to the final hint: at least 1 ms (a 0 would read as "no
+/// hint"), at most one minute (an absurd estimate from a huge backlog
+/// must not park clients forever).
+inline constexpr double kRetryHintMinMs = 1.0;
+inline constexpr double kRetryHintMaxMs = 60'000.0;
+
+/// Expected drain time in ms of `backlog` queries over `num_threads`
+/// workers: per-query time is `observed_query_ms` when known, else the
+/// deadline, else kRetryHintFloorPerQueryMs; the product is clamped to
+/// [kRetryHintMinMs, kRetryHintMaxMs].
+double EstimateRetryAfterMs(std::size_t backlog, std::size_t num_threads,
+                            double observed_query_ms, double deadline_ms);
+
 /// \brief Service knobs for a ShardedServer.
 struct ServeOptions {
   /// Admission control: at most this many queries in flight; excess is

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -136,41 +135,6 @@ TEST(ParallelQueryTest, BadQueriesFailIndividually) {
   EXPECT_TRUE(report.statuses[0].ok());
 }
 
-TEST(ParallelQueryTest, AdmissionControlShedsBeyondQueueDepth) {
-  TarTreeOptions opt;
-  opt.grid = EpochGrid(0, 7 * kSecondsPerDay);
-  TarTree tree(opt);
-  BuildFixture(&tree, 150);
-
-  const std::vector<KnntaQuery> queries = MakeQueries(20);
-  ParallelQueryOptions popt;
-  popt.num_threads = 4;
-  popt.max_queue_depth = 12;
-  ParallelQueryReport report;
-  ASSERT_TRUE(RunParallelQueries(tree, queries, popt, &report).ok());
-
-  EXPECT_EQ(report.sheds, 8u);
-  EXPECT_EQ(report.queries_ok, 12u);
-  EXPECT_EQ(report.failures_by_code[Status::Code::kUnavailable], 8u);
-  std::size_t shed_seen = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (report.statuses[i].ok()) continue;
-    ++shed_seen;
-    EXPECT_TRUE(report.statuses[i].IsUnavailable())
-        << report.statuses[i].ToString();
-    // The hint is machine-readable and positive: an overloaded client can
-    // back off by exactly the advertised drain estimate.
-    const std::string& msg = report.statuses[i].message();
-    const std::size_t at = msg.find("retry-after-ms=");
-    ASSERT_NE(at, std::string::npos) << msg;
-    EXPECT_GT(std::atof(msg.c_str() + at + 15), 0.0) << msg;
-    EXPECT_TRUE(report.results[i].empty());
-  }
-  EXPECT_EQ(shed_seen, 8u);
-  // Shed queries must not pollute the service-time percentiles.
-  EXPECT_EQ(report.latency.count, report.queries_ok);
-}
-
 TEST(ParallelQueryTest, BudgetTripsAreTimeoutsNotLatencySamples) {
   TarTreeOptions opt;
   opt.grid = EpochGrid(0, 7 * kSecondsPerDay);
@@ -246,77 +210,6 @@ TEST(ParallelQueryTest, CancelTokenAbortsEveryQuery) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_TRUE(report.statuses[i].IsCancelled());
     EXPECT_EQ(report.statuses[i].message(), "client disconnected");
-  }
-}
-
-TEST(ParallelQueryTest, BatchBudgetShedsLateClaims) {
-  TarTreeOptions opt;
-  opt.grid = EpochGrid(0, 7 * kSecondsPerDay);
-  TarTree tree(opt);
-  BuildFixture(&tree, 150);
-
-  const std::vector<KnntaQuery> queries = MakeQueries(8);
-  ParallelQueryOptions popt;
-  popt.num_threads = 2;
-  // A budget far below any achievable claim time: every query is claimed
-  // after the batch budget is spent and must be shed, not started.
-  popt.batch_budget_ms = 1e-6;
-  ParallelQueryReport report;
-  ASSERT_TRUE(RunParallelQueries(tree, queries, popt, &report).ok());
-
-  EXPECT_EQ(report.sheds, queries.size());
-  EXPECT_EQ(report.queries_ok, 0u);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(report.statuses[i].IsUnavailable());
-    EXPECT_NE(report.statuses[i].message().find("batch wall budget"),
-              std::string::npos)
-        << report.statuses[i].message();
-  }
-}
-
-TEST(ParallelQueryTest, RetryHintNeverDegenerates) {
-  // The regression this fixes: with an empty latency histogram the old
-  // hint was backlog * 0 / threads ~= 0 ms, telling a client under
-  // overload to hammer the server immediately. The estimate now floors
-  // the per-query cost and clamps the product.
-  EXPECT_GE(EstimateRetryAfterMs(0, 4, 0.0, 0.0), kRetryHintMinMs);
-  EXPECT_EQ(EstimateRetryAfterMs(12, 4, 0.0, 0.0),
-            12.0 * kRetryHintFloorPerQueryMs / 4.0);
-
-  // Observed latency wins over the deadline fallback.
-  EXPECT_EQ(EstimateRetryAfterMs(8, 2, 5.0, 100.0), 8.0 * 5.0 / 2.0);
-  // No observation yet: the per-query deadline is the best available
-  // cost model.
-  EXPECT_EQ(EstimateRetryAfterMs(8, 2, 0.0, 100.0), 8.0 * 100.0 / 2.0);
-
-  // Clamps at both ends, and zero threads never divides by zero.
-  EXPECT_EQ(EstimateRetryAfterMs(1, 64, 0.01, 0.0), kRetryHintMinMs);
-  EXPECT_EQ(EstimateRetryAfterMs(1'000'000, 1, 1000.0, 0.0),
-            kRetryHintMaxMs);
-  EXPECT_EQ(EstimateRetryAfterMs(4, 0, 10.0, 0.0), 40.0);
-}
-
-TEST(ParallelQueryTest, AdmissionHintUsesObservedLatency) {
-  TarTreeOptions opt;
-  opt.grid = EpochGrid(0, 7 * kSecondsPerDay);
-  TarTree tree(opt);
-  BuildFixture(&tree, 150);
-
-  const std::vector<KnntaQuery> queries = MakeQueries(20);
-  ParallelQueryOptions popt;
-  popt.num_threads = 4;
-  popt.max_queue_depth = 12;
-  popt.observed_query_ms = 6.0;
-  ParallelQueryReport report;
-  ASSERT_TRUE(RunParallelQueries(tree, queries, popt, &report).ok());
-  ASSERT_EQ(report.sheds, 8u);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (report.statuses[i].ok()) continue;
-    const std::string& msg = report.statuses[i].message();
-    const std::size_t at = msg.find("retry-after-ms=");
-    ASSERT_NE(at, std::string::npos) << msg;
-    // depth 12 at 6 ms/query over 4 threads = an 18 ms drain.
-    EXPECT_EQ(std::atof(msg.c_str() + at + 15), 18.0) << msg;
   }
 }
 

@@ -5,7 +5,9 @@
 #include "core/serve.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +131,94 @@ TEST(ServeTest, OverloadShedsWithRetryAfterHint) {
   EXPECT_GT(std::atof(hint.c_str() + at + 15), 0.0) << hint;
   // Shed queries never enter the latency histogram.
   EXPECT_EQ(stats.latency.count, stats.queries_ok);
+}
+
+TEST(ServeTest, RetryHintNeverDegenerates) {
+  // The regression this fixes: with an empty latency histogram the old
+  // hint was backlog * 0 / threads ~= 0 ms, telling a client under
+  // overload to hammer the server immediately. The estimate now floors
+  // the per-query cost and clamps the product.
+  EXPECT_GE(EstimateRetryAfterMs(0, 4, 0.0, 0.0), kRetryHintMinMs);
+  EXPECT_EQ(EstimateRetryAfterMs(12, 4, 0.0, 0.0),
+            12.0 * kRetryHintFloorPerQueryMs / 4.0);
+
+  // Observed latency wins over the deadline fallback.
+  EXPECT_EQ(EstimateRetryAfterMs(8, 2, 5.0, 100.0), 8.0 * 5.0 / 2.0);
+  // No observation yet: the per-query deadline is the best available
+  // cost model.
+  EXPECT_EQ(EstimateRetryAfterMs(8, 2, 0.0, 100.0), 8.0 * 100.0 / 2.0);
+
+  // Clamps at both ends, and zero threads never divides by zero.
+  EXPECT_EQ(EstimateRetryAfterMs(1, 64, 0.01, 0.0), kRetryHintMinMs);
+  EXPECT_EQ(EstimateRetryAfterMs(1'000'000, 1, 1000.0, 0.0),
+            kRetryHintMaxMs);
+  EXPECT_EQ(EstimateRetryAfterMs(4, 0, 10.0, 0.0), 40.0);
+}
+
+
+// The number after "retry-after-ms=" in a shed's message, or -1.
+double RetryAfterMs(const std::string& message) {
+  const std::size_t at = message.find("retry-after-ms=");
+  return at == std::string::npos ? -1.0
+                                 : std::atof(message.c_str() + at + 15);
+}
+
+// Holds a single-slot server's only slot with a query stalled on its
+// first page fetch, sends a second query, and returns that query's
+// retry hint.
+double ShedWhileSlotHeld(ShardedServer* server) {
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  EXPECT_TRUE(injector.Configure("buffer_pool.fetch=delay@100@1").ok());
+  std::thread holder([server] {
+    std::vector<KnntaResult> results;
+    EXPECT_TRUE(server->Query(ProbeQuery(), &results).ok());
+  });
+  // The delay fires after the hit is counted, so one hit means the
+  // holder is inside the store query and owns the slot.
+  auto holder_stalled = [&injector] {
+    for (const fail::SiteReport& site : injector.Snapshot()) {
+      if (site.hits > 0) return true;
+    }
+    return false;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!holder_stalled() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<KnntaResult> results;
+  const Status st = server->Query(ProbeQuery(1), &results);
+  holder.join();
+  injector.Clear();
+  EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
+  return RetryAfterMs(st.message());
+}
+
+// Where the shed hint comes from. With one slot the drain estimate is
+// one query's service time: the mean of the completed queries once there
+// are any; before that the deadline, or the floor when there is none.
+TEST(ServeTest, ShedHintIsObservedServiceTimeElseDeadline) {
+  fail::FaultInjector::Global().Clear();
+  std::unique_ptr<ShardedStore> store = MakeStore();
+
+  ServeOptions opt;
+  opt.max_inflight = 1;
+  {
+    ShardedServer server(store.get(), opt);
+    EXPECT_EQ(ShedWhileSlotHeld(&server), kRetryHintFloorPerQueryMs);
+  }
+
+  opt.budget.deadline_ms = 5000.0;
+  ShardedServer server(store.get(), opt);
+  EXPECT_EQ(ShedWhileSlotHeld(&server), 5000.0);
+  // The first holder has completed now; its service time, not the
+  // deadline, sizes the next hint.
+  const ServerStats stats = server.stats();
+  ASSERT_EQ(stats.queries_ok, 1u);
+  const double observed_ms = stats.latency.Mean() / 1000.0;
+  ASSERT_GE(observed_ms, 100.0);
+  EXPECT_NEAR(ShedWhileSlotHeld(&server), observed_ms, 0.5);
+  EXPECT_EQ(server.stats().queries_shed, 2u);
 }
 
 TEST(ServeTest, ReadsCompleteWhileEpochsAreApplied) {

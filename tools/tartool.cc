@@ -78,17 +78,16 @@
 //       expands into a small store, its sequential-scan oracle and a
 //       query batch, then runs the batch through the parallel driver
 //       under injected slow-I/O delays (failpoint delay action) with
-//       per-query deadlines, bounded admission, partial degradation on
-//       alternating seeds and a mid-batch cancellation on every third
-//       seed. Checks: every query completes bit-identically to the
-//       oracle, returns a labeled partial whose prefix and score bound
-//       the oracle verifies, or fails with kDeadlineExceeded/kCancelled/
-//       kUnavailable — within deadline+eps, never hanging, never an
-//       unlabeled truncation. Each round also streams a concurrent WAL
-//       ingest under append delays and proves the store recovers
-//       bit-identically; the metrics registry must account for every
-//       shed/timeout/cancel/partial. Exit 0: clean sweep; 1: a
-//       violation; 2: setup error.
+//       per-query deadlines, partial degradation on alternating seeds
+//       and a mid-batch cancellation on every third seed. Checks: every
+//       query completes bit-identically to the oracle, returns a labeled
+//       partial whose prefix and score bound the oracle verifies, or
+//       fails with kDeadlineExceeded/kCancelled — within deadline+eps,
+//       never hanging, never an unlabeled truncation. Each round also
+//       streams a concurrent WAL ingest under append delays and proves
+//       the store recovers bit-identically; the metrics registry must
+//       account for every timeout/cancel/partial. Exit 0: clean sweep;
+//       1: a violation; 2: setup error.
 //
 //   tartool chaos --shard-kill [--seed N | --seeds N] [--shards S]
 //           [--threads T] [--window-ms W] [--path P]
@@ -140,6 +139,7 @@
 //       runs one seed, --seeds N (default 50) sweeps 1..N; each failure
 //       prints a one-line repro command. Exit 0 when all seeds pass.
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -196,6 +196,42 @@ std::string Flag(const std::map<std::string, std::string>& flags,
                  const std::string& key, const std::string& def) {
   auto it = flags.find(key);
   return it == flags.end() ? def : it->second;
+}
+
+/// Parses the count flag `key` (a thread, query or shard count) into
+/// `*out`. atoll into a size_t would wrap "-1" to SIZE_MAX, which passes
+/// every "== 0" check and then asks for that many threads; a negative or
+/// non-numeric count is refused with a message instead, before anything
+/// starts. Returns false after printing the message.
+bool ParseCount(const std::map<std::string, std::string>& flags,
+                const char* verb, const std::string& key,
+                const std::string& def, std::size_t* out) {
+  const std::string text = Flag(flags, key, def);
+  // strtoull itself accepts a leading sign or space, so the first
+  // character must be a digit.
+  const bool digit_first = !text.empty() && text[0] >= '0' && text[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value =
+      digit_first ? std::strtoull(text.c_str(), &end, 10) : 0;
+  if (!digit_first || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr,
+                 "%s: --%s must be a non-negative integer, got '%s'\n", verb,
+                 key.c_str(), text.c_str());
+    return false;
+  }
+  *out = static_cast<std::size_t>(value);
+  return true;
+}
+
+/// The end of the indexed history: the extent end of the global TIA's
+/// last record, or 0 for an index with no digested epochs. A failed read
+/// is returned, never replaced by a guess: a query window anchored at a
+/// made-up end returns plausible-but-wrong answers.
+Result<Timestamp> IndexedHistoryEnd(const TarTree& tree) {
+  std::vector<TiaRecord> records;
+  TAR_RETURN_NOT_OK(tree.global_tia().Records(&records));
+  return records.empty() ? Timestamp{0} : records.back().extent.end;
 }
 
 /// Civil date from days since the Unix epoch (Howard Hinnant's algorithm;
@@ -390,21 +426,13 @@ int QueryCmd(const std::map<std::string, std::string>& flags) {
              std::atof(Flag(flags, "y", "0").c_str())};
   std::int64_t days = std::atoll(Flag(flags, "days", "30").c_str());
   // "The last N days": anchored at the end of the indexed history.
-  Timestamp t_end = (tree.global_tia().num_records() > 0)
-                        ? tree.grid().EpochEnd(10 * 365 / 7)  // fallback
-                        : 0;
-  // Derive the end of history from the global TIA records. A read failure
-  // here must not silently fall back to the epoch-grid guess: the query
-  // would then run over an empty window and return plausible-but-wrong
-  // zero-visit results.
-  std::vector<TiaRecord> records;
-  Status hist = tree.global_tia().Records(&records);
-  if (!hist.ok()) {
+  const Result<Timestamp> history_end = IndexedHistoryEnd(tree);
+  if (!history_end.ok()) {
     std::fprintf(stderr, "cannot read indexed history: %s\n",
-                 hist.ToString().c_str());
+                 history_end.status().ToString().c_str());
     return 1;
   }
-  if (!records.empty()) t_end = records.back().extent.end;
+  const Timestamp t_end = *history_end;
   q.interval = {std::max<Timestamp>(0, t_end - days * kSecondsPerDay),
                 t_end};
   q.k = std::atoll(Flag(flags, "k", "10").c_str());
@@ -489,6 +517,12 @@ int QueryCmd(const std::map<std::string, std::string>& flags) {
 }
 
 int Stress(const std::map<std::string, std::string>& flags) {
+  ParallelQueryOptions opt;
+  std::size_t num_queries = 0;
+  if (!ParseCount(flags, "stress", "threads", "4", &opt.num_threads) ||
+      !ParseCount(flags, "stress", "queries", "1000", &num_queries)) {
+    return 2;
+  }
   auto loaded = TarTree::LoadFromFile(Flag(flags, "index", "index.tart"));
   if (!loaded.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
@@ -502,10 +536,6 @@ int Stress(const std::map<std::string, std::string>& flags) {
   const bool metrics = flags.count("metrics") != 0;
   if (metrics) SetMetricsEnabled(true);
 
-  ParallelQueryOptions opt;
-  opt.num_threads = std::atoll(Flag(flags, "threads", "4").c_str());
-  std::size_t num_queries =
-      std::atoll(Flag(flags, "queries", "1000").c_str());
   std::size_t k = std::atoll(Flag(flags, "k", "10").c_str());
   std::int64_t days = std::atoll(Flag(flags, "days", "30").c_str());
   double alpha0 = std::atof(Flag(flags, "alpha", "0.3").c_str());
@@ -513,11 +543,13 @@ int Stress(const std::map<std::string, std::string>& flags) {
 
   // Query points are uniform over the data space; intervals are windows of
   // `days` days with uniform starts over the indexed history.
-  Timestamp t_end = 0;
-  std::vector<TiaRecord> records;
-  if (tree.global_tia().Records(&records).ok() && !records.empty()) {
-    t_end = records.back().extent.end;
+  const Result<Timestamp> history_end = IndexedHistoryEnd(tree);
+  if (!history_end.ok()) {
+    std::fprintf(stderr, "stress: cannot read indexed history: %s\n",
+                 history_end.status().ToString().c_str());
+    return 1;
   }
+  const Timestamp t_end = *history_end;
   const Box2& space = tree.options().space;
   const Timestamp window = days * kSecondsPerDay;
   std::vector<KnntaQuery> queries;
@@ -1462,7 +1494,6 @@ int CrashTest(const std::map<std::string, std::string>& flags) {
 /// the end of the sweep.
 struct ChaosTally {
   std::size_t completed = 0;
-  std::size_t sheds = 0;
   std::size_t timeouts = 0;
   std::size_t cancels = 0;
   std::size_t partials = 0;
@@ -1489,31 +1520,22 @@ std::vector<KnntaQuery> ChaosQueryBatch(const EpochGrid& grid,
 /// Audits one storm's report against the fault-free oracle answers. Every
 /// query must either complete bit-identically, return a *labeled* partial
 /// whose prefix and score bound are verified against the oracle, or fail
-/// with kDeadlineExceeded / kCancelled / kUnavailable — and no executed
-/// query may overrun its deadline by more than `eps_ms`.
+/// with kDeadlineExceeded / kCancelled — and no query may overrun its
+/// deadline by more than `eps_ms`. RunParallelQueries sheds nothing, so
+/// a kUnavailable here is as unexpected as any other failure.
 void CheckChaosReport(const ParallelQueryReport& report,
                       const std::vector<std::vector<KnntaResult>>& expected,
                       const ParallelQueryOptions& popt, double eps_ms,
                       const char* what, std::uint64_t rseed, int* violations,
                       ChaosTally* tally) {
   const unsigned long long rs = static_cast<unsigned long long>(rseed);
-  std::size_t sheds = 0;
   std::size_t timeouts = 0;
   std::size_t cancels = 0;
   std::size_t partials = 0;
   for (std::size_t i = 0; i < report.statuses.size(); ++i) {
     const Status& st = report.statuses[i];
     if (!st.ok()) {
-      if (st.IsUnavailable()) {
-        ++sheds;
-        if (st.message().find("retry-after-ms=") == std::string::npos) {
-          std::fprintf(stderr,
-                       "  %s seed %llu query %zu: shed without a retry "
-                       "hint: %s\n",
-                       what, rs, i, st.ToString().c_str());
-          ++*violations;
-        }
-      } else if (st.IsDeadlineExceeded()) {
+      if (st.IsDeadlineExceeded()) {
         ++timeouts;
       } else if (st.IsCancelled()) {
         ++cancels;
@@ -1598,27 +1620,26 @@ void CheckChaosReport(const ParallelQueryReport& report,
       ++*violations;
     }
   }
-  if (report.sheds != sheds || report.timeouts != timeouts ||
-      report.cancels != cancels || report.partials != partials) {
+  if (report.timeouts != timeouts || report.cancels != cancels ||
+      report.partials != partials) {
     std::fprintf(stderr,
-                 "  %s seed %llu: report counters (%zu/%zu/%zu/%zu) "
-                 "disagree with statuses (%zu/%zu/%zu/%zu)\n",
-                 what, rs, report.sheds, report.timeouts, report.cancels,
-                 report.partials, sheds, timeouts, cancels, partials);
+                 "  %s seed %llu: report counters (%zu/%zu/%zu) "
+                 "disagree with statuses (%zu/%zu/%zu)\n",
+                 what, rs, report.timeouts, report.cancels, report.partials,
+                 timeouts, cancels, partials);
     ++*violations;
   }
   tally->completed += report.queries_ok - partials;
-  tally->sheds += sheds;
   tally->timeouts += timeouts;
   tally->cancels += cancels;
   tally->partials += partials;
 }
 
 /// One chaos round: a deterministic store, its sequential-scan oracle, a
-/// delay storm over the TIA read path with per-query deadlines, bounded
-/// admission and (on alternating seeds) partial degradation or mid-batch
-/// cancellation — then a concurrent-ingest storm whose store must recover
-/// bit-identically to an uninterrupted run.
+/// delay storm over the TIA read path with per-query deadlines and (on
+/// alternating seeds) partial degradation or mid-batch cancellation —
+/// then a concurrent-ingest storm whose store must recover bit-identically
+/// to an uninterrupted run.
 int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
                double delay_ms, const std::string& base, int* violations,
                ChaosTally* tally) {
@@ -1655,7 +1676,7 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
   // for a loaded CI machine.
   const double eps_ms = 500.0 + 64.0 * delay_ms;
 
-  // Storm A: slow TIA reads + per-query deadlines + bounded admission.
+  // Storm A: slow TIA reads + per-query deadlines.
   {
     const double probability =
         0.3 + 0.1 * static_cast<double>(rseed % 5);  // 0.3 .. 0.7
@@ -1668,7 +1689,6 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
     popt.num_threads = threads;
     popt.budget.deadline_ms = deadline_ms;
     popt.allow_partial = rseed % 2 == 1;
-    popt.max_queue_depth = queries.size() - 4;
     CancelToken cancel;
     std::thread canceller;
     if (rseed % 3 == 0) {
@@ -1690,13 +1710,6 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
     }
     CheckChaosReport(report, expected, popt, eps_ms, "storm", rseed,
                      violations, tally);
-    if (report.sheds != 4) {
-      std::fprintf(stderr,
-                   "chaos seed %llu: admission shed %zu queries, wanted "
-                   "the 4 past the depth limit\n",
-                   rs, report.sheds);
-      ++*violations;
-    }
   }
 
   // Storm B: concurrent WAL ingest under an append-delay storm while
@@ -1733,7 +1746,6 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
     ParallelQueryOptions popt;
     popt.num_threads = threads;
     popt.budget.deadline_ms = deadline_ms;
-    popt.batch_budget_ms = deadline_ms * 4.0;
     popt.allow_partial = true;
     ParallelQueryReport report;
     Status st = RunParallelQueries(*tree, queries, popt, &report);
@@ -2051,10 +2063,12 @@ int ShardKillChaos(const std::map<std::string, std::string>& flags) {
     first = last =
         std::strtoull(Flag(flags, "seed", "1").c_str(), nullptr, 10);
   }
-  const std::size_t shards =
-      std::atoll(Flag(flags, "shards", "4").c_str());
-  const std::size_t threads =
-      std::atoll(Flag(flags, "threads", "3").c_str());
+  std::size_t shards = 0;
+  std::size_t threads = 0;
+  if (!ParseCount(flags, "chaos --shard-kill", "shards", "4", &shards) ||
+      !ParseCount(flags, "chaos --shard-kill", "threads", "3", &threads)) {
+    return 2;
+  }
   const double window_ms =
       std::atof(Flag(flags, "window-ms", "150").c_str());
   const std::string base = Flag(flags, "path", "chaos.store");
@@ -2120,8 +2134,8 @@ int Chaos(const std::map<std::string, std::string>& flags) {
     first = last =
         std::strtoull(Flag(flags, "seed", "1").c_str(), nullptr, 10);
   }
-  const std::size_t threads =
-      std::atoll(Flag(flags, "threads", "4").c_str());
+  std::size_t threads = 0;
+  if (!ParseCount(flags, "chaos", "threads", "4", &threads)) return 2;
   const double deadline_ms =
       std::atof(Flag(flags, "deadline-ms", "25").c_str());
   const double delay_ms = std::atof(Flag(flags, "delay-ms", "15").c_str());
@@ -2157,8 +2171,7 @@ int Chaos(const std::map<std::string, std::string>& flags) {
   const struct {
     const char* name;
     std::size_t want;
-  } counters[] = {{"query.sheds", tally.sheds},
-                  {"query.timeouts", tally.timeouts},
+  } counters[] = {{"query.timeouts", tally.timeouts},
                   {"query.cancels", tally.cancels},
                   {"query.partials", tally.partials}};
   for (const auto& c : counters) {
@@ -2177,10 +2190,9 @@ int Chaos(const std::map<std::string, std::string>& flags) {
   }
 
   std::printf("chaos: %llu seed(s): %zu completed, %zu partial, %zu timed "
-              "out, %zu cancelled, %zu shed\n",
+              "out, %zu cancelled\n",
               static_cast<unsigned long long>(last - first + 1),
-              tally.completed, tally.partials, tally.timeouts, tally.cancels,
-              tally.sheds);
+              tally.completed, tally.partials, tally.timeouts, tally.cancels);
   if (violations > 0) {
     std::fprintf(stderr, "chaos: %d violation(s)\n", violations);
     return 1;
@@ -2253,8 +2265,17 @@ int Audit(const std::map<std::string, std::string>& flags) {
 // ----------------------------------------------------------------------
 
 int Serve(const std::map<std::string, std::string>& flags) {
-  const std::size_t shards = std::atoll(Flag(flags, "shards", "4").c_str());
-  const std::size_t threads = std::atoll(Flag(flags, "threads", "4").c_str());
+  std::size_t shards = 0;
+  std::size_t threads = 0;
+  std::size_t max_inflight = 0;
+  std::size_t checkpoint_every = 0;
+  if (!ParseCount(flags, "serve", "shards", "4", &shards) ||
+      !ParseCount(flags, "serve", "threads", "4", &threads) ||
+      !ParseCount(flags, "serve", "max-inflight", "0", &max_inflight) ||
+      !ParseCount(flags, "serve", "checkpoint-every", "0",
+                  &checkpoint_every)) {
+    return 2;
+  }
   const double duration_ms =
       std::atof(Flag(flags, "duration-ms", "2000").c_str());
   const double scale = std::atof(Flag(flags, "scale", "0.02").c_str());
@@ -2263,10 +2284,6 @@ int Serve(const std::map<std::string, std::string>& flags) {
       std::atoll(Flag(flags, "threshold", "20").c_str());
   const double deadline_ms =
       std::atof(Flag(flags, "deadline-ms", "0").c_str());
-  const std::size_t max_inflight =
-      std::atoll(Flag(flags, "max-inflight", "0").c_str());
-  const std::size_t checkpoint_every =
-      std::atoll(Flag(flags, "checkpoint-every", "0").c_str());
   const std::string store_prefix = Flag(flags, "store", "");
   const double write_interval_ms =
       std::atof(Flag(flags, "write-interval-ms", "5").c_str());
