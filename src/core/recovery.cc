@@ -66,6 +66,16 @@ Result<std::unique_ptr<TarTree>> Recover(const std::string& snapshot_path,
   return tree;
 }
 
+Status LogRecord(const TarTree& tree, WalWriter* wal, WalRecord* record) {
+  TAR_RETURN_NOT_OK(tree.PrevalidateRecord(*record));
+  if (wal == nullptr) {
+    record->lsn = tree.applied_lsn() + 1;
+    return Status::OK();
+  }
+  TAR_ASSIGN_OR_RETURN(record->lsn, wal->Append(*record));
+  return Status::OK();
+}
+
 Status Checkpoint(const TarTree& tree, const std::string& snapshot_path,
                   WalWriter* wal) {
   if (tree.poisoned()) {

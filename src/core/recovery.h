@@ -7,6 +7,11 @@
 // idempotent by LSN, so recovering twice — or recovering a log that was
 // only partially truncated by a checkpoint — yields the same tree.
 // `Checkpoint` makes the current tree durable and empties the log.
+// `LogRecord` is the write side: a logged tree takes every mutation
+// through `LogRecord` + `TarTree::ApplyWalRecord`, never through its
+// direct doors. There is no delete record: delete via `DeletePoi` /
+// `Rebuild` + a `Checkpoint` before the next logged mutation, so the
+// snapshot carries the change.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +43,18 @@ struct RecoveryReport {
 /// snapshot alone. A torn or corrupt WAL tail does not fail recovery —
 /// everything before it is replayed and the tail is reported through
 /// `report` — but a record that fails to *apply* does (the store is
-/// inconsistent with its log). The returned tree has no WAL attached.
+/// inconsistent with its log). Further writes go through `LogRecord`.
 Result<std::unique_ptr<TarTree>> Recover(const std::string& snapshot_path,
                                          const std::string& wal_path,
                                          const TarTree::LoadOptions& options,
                                          RecoveryReport* report = nullptr);
+
+/// Log-before-mutate: validates `record` against `tree`, then appends it
+/// to `wal` and stamps `record->lsn`; with no `wal` (an in-memory store)
+/// the LSN is `tree.applied_lsn() + 1`. On failure nothing was logged.
+/// The caller then applies `*record` with `ApplyWalRecord`; an apply
+/// failure poisons only the in-memory tree, and recovery redoes it.
+Status LogRecord(const TarTree& tree, WalWriter* wal, WalRecord* record);
 
 /// Checkpoints `tree`: atomically saves it to `snapshot_path` (the footer
 /// records the applied LSN), appends a checkpoint marker to `wal`, syncs,

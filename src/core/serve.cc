@@ -83,8 +83,10 @@ Status ShardedServer::Query(const KnntaQuery& query,
   // contract — kUnavailable means "back off retry-after-ms, then retry").
   const std::int64_t inflight =
       inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // Compared as unsigned: `inflight` is at least 1 here, while a cap
+  // above INT64_MAX would turn negative as a signed value and shed all.
   if (options_.max_inflight > 0 &&
-      inflight > static_cast<std::int64_t>(options_.max_inflight)) {
+      static_cast<std::uint64_t>(inflight) > options_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     double observed_ms = 0.0;
     {

@@ -191,9 +191,15 @@ Status TarTree::PoisonedError(const char* refused) const {
                              "partially applied mutation");
 }
 
-Status TarTree::PrevalidateInsert(const Poi& poi) const {
+Status TarTree::PrevalidateInsert(
+    const Poi& poi, const std::vector<std::int32_t>& history) const {
   if (poi_info_.count(poi.id) != 0) {
     return Status::AlreadyExists("POI already indexed");
+  }
+  for (std::size_t e = 0; e < history.size(); ++e) {
+    if (history[e] <= 0) continue;
+    TAR_RETURN_NOT_OK(
+        Tia::CheckPackable(options_.grid.EpochExtent(e), history[e]));
   }
   return Status::OK();
 }
@@ -220,16 +226,9 @@ Status TarTree::PrevalidateRecord(const WalRecord& record) const {
   switch (record.type) {
     case WalRecord::Type::kCheckpoint:
       return Status::OK();
-    case WalRecord::Type::kInsertPoi: {
-      TAR_RETURN_NOT_OK(
-          PrevalidateInsert(Poi{record.poi, Vec2{record.x, record.y}}));
-      for (std::size_t e = 0; e < record.history.size(); ++e) {
-        if (record.history[e] <= 0) continue;
-        TAR_RETURN_NOT_OK(Tia::CheckPackable(options_.grid.EpochExtent(e),
-                                             record.history[e]));
-      }
-      return Status::OK();
-    }
+    case WalRecord::Type::kInsertPoi:
+      return PrevalidateInsert(Poi{record.poi, Vec2{record.x, record.y}},
+                               record.history);
     case WalRecord::Type::kAppendEpoch: {
       std::unordered_map<PoiId, std::int64_t> aggs;
       aggs.reserve(record.aggs.size());
@@ -244,24 +243,10 @@ Status TarTree::InsertPoi(const Poi& poi,
                           const std::vector<std::int32_t>& history) {
   SingleWriterGuard guard(this);
   TAR_RETURN_NOT_OK(CheckMutable());
-  Lsn lsn = 0;
-  if (wal_ != nullptr) {
-    // Log-before-mutate: a failed append leaves the tree untouched; a
-    // logged record is guaranteed replayable by its prevalidation.
-    const WalRecord record =
-        WalRecord::MakeInsertPoi(poi.id, poi.pos.x, poi.pos.y, history);
-    TAR_RETURN_NOT_OK(PrevalidateRecord(record));
-    TAR_ASSIGN_OR_RETURN(lsn, wal_->Append(record));
-  } else {
-    TAR_RETURN_NOT_OK(PrevalidateInsert(poi));
-  }
+  TAR_RETURN_NOT_OK(PrevalidateInsert(poi, history));
   Status st = InsertPoiUnlogged(poi, history);
-  if (!st.ok()) {
-    Poison(st);
-    return st;
-  }
-  if (lsn != 0) applied_lsn_ = lsn;
-  return Status::OK();
+  if (!st.ok()) Poison(st);
+  return st;
 }
 
 Status TarTree::InsertPoiUnlogged(const Poi& poi,
@@ -449,11 +434,6 @@ bool TarTree::FindLeaf(NodeId node_id, PoiId poi, const Vec2& pos,
 Status TarTree::DeletePoi(PoiId poi) {
   SingleWriterGuard guard(this);
   TAR_RETURN_NOT_OK(CheckMutable());
-  if (wal_ != nullptr) {
-    return Status::NotSupported(
-        "DeletePoi is not write-ahead logged; detach the WAL and delete "
-        "via rebuild + checkpoint instead");
-  }
   auto it = poi_info_.find(poi);
   if (it == poi_info_.end()) return Status::NotFound("POI not indexed");
   std::vector<NodeId> path;
@@ -533,18 +513,9 @@ Status TarTree::AppendEpoch(
   // unlogged body used to bump per-POI totals before discovering an
   // unknown POI later in the same batch.
   TAR_RETURN_NOT_OK(PrevalidateEpoch(epoch, aggs));
-  Lsn lsn = 0;
-  if (wal_ != nullptr) {
-    TAR_ASSIGN_OR_RETURN(lsn,
-                         wal_->Append(WalRecord::MakeEpochBatch(epoch, aggs)));
-  }
   Status st = AppendEpochUnlogged(epoch, aggs);
-  if (!st.ok()) {
-    Poison(st);
-    return st;
-  }
-  if (lsn != 0) applied_lsn_ = lsn;
-  return Status::OK();
+  if (!st.ok()) Poison(st);
+  return st;
 }
 
 Status TarTree::AppendEpochUnlogged(
@@ -652,7 +623,7 @@ Status TarTree::ApplyWalRecord(const WalRecord& record, bool* applied) {
   }
   if (!st.ok()) {
     Poison(st);
-    return st.WithContext(std::string("replaying WAL ") +
+    return st.WithContext(std::string("applying WAL ") +
                           ToString(record.type) + " record at lsn " +
                           std::to_string(record.lsn));
   }

@@ -152,21 +152,15 @@ class TarTree {
                      const std::unordered_map<PoiId, std::int64_t>& aggs);
 
   // --- Crash consistency (see docs/internals.md, "Failure model") ---
-
-  /// Attaches a write-ahead log (non-owning; nullptr detaches). With a WAL
-  /// attached, InsertPoi/AppendEpoch log the mutation before applying it
-  /// (log-before-mutate): an append failure leaves the tree untouched, an
-  /// apply failure poisons the in-memory tree but the logged record makes
-  /// the mutation all-or-nothing at recovery. DeletePoi is not logged and
-  /// is rejected while a WAL is attached (delete via rebuild+checkpoint).
-  void AttachWal(WalWriter* wal) { wal_ = wal; }
-  WalWriter* wal() const { return wal_; }
+  // The doors above are plain in-memory mutations; a logged tree takes
+  // its mutations through LogRecord + ApplyWalRecord (core/recovery.h).
 
   /// LSN of the last mutation applied to this tree (0 = none). Persisted
   /// in the file footer so recovery knows where a snapshot's history ends.
   Lsn applied_lsn() const { return applied_lsn_; }
 
-  /// Replays one WAL record (recovery path; no WAL should be attached).
+  /// Applies one logged WAL record: the only way a record reaches the
+  /// tree, both for a live write after LogRecord and for recovery replay.
   /// Idempotent by LSN: records at or below applied_lsn() are skipped, so
   /// replaying the same log twice over the same checkpoint is a no-op.
   /// Checkpoint markers never mutate. `applied` (optional) reports whether
@@ -213,11 +207,9 @@ class TarTree {
                PartialResult* partial = nullptr) const;
 
   /// Validates a WAL record against the current tree state without
-  /// applying it, mirroring what the logged front doors check before
-  /// appending. The snapshot store calls this before logging a record it
-  /// will apply to both replicas itself — a record that fails semantic
-  /// validation must never reach the log (log-before-mutate requires every
-  /// logged record to replay cleanly). Checkpoint markers always pass.
+  /// applying it, with the same checks as the direct doors. LogRecord
+  /// runs it before appending: every logged record must replay cleanly.
+  /// Checkpoint markers always pass.
   Status PrevalidateRecord(const WalRecord& record) const;
 
   // --- Introspection (cost analysis, MWA, collective processing, tests) ---
@@ -407,15 +399,15 @@ class TarTree {
   /// The status every refused operation on a poisoned tree returns.
   Status PoisonedError(const char* refused) const;
 
-  /// Validates an InsertPoi/AppendEpoch *before* it is logged or applied.
-  /// Log-before-mutate only works if every logged record is guaranteed to
-  /// replay cleanly; semantic rejections must happen before the append.
-  Status PrevalidateInsert(const Poi& poi) const;
+  /// Validates an InsertPoi/AppendEpoch *before* it is logged or applied,
+  /// so a rejected mutation leaves the tree clean, not poisoned.
+  Status PrevalidateInsert(const Poi& poi,
+                           const std::vector<std::int32_t>& history) const;
   Status PrevalidateEpoch(
       std::int64_t epoch,
       const std::unordered_map<PoiId, std::int64_t>& aggs) const;
 
-  /// The mutation bodies, shared by the logged front doors and WAL replay.
+  /// The mutation bodies, shared by the direct doors and ApplyWalRecord.
   Status InsertPoiUnlogged(const Poi& poi,
                            const std::vector<std::int32_t>& history);
   Status AppendEpochUnlogged(
@@ -544,7 +536,6 @@ class TarTree {
   std::unique_ptr<Tia> global_tia_;
   std::int64_t max_total_ = 0;
 
-  WalWriter* wal_ = nullptr;  ///< non-owning; see AttachWal
   Lsn applied_lsn_ = 0;
   bool poisoned_ = false;
   Status poison_ = Status::OK();

@@ -125,14 +125,9 @@ Status SnapshotStore::StageRecord(WalRecord record) {
         "snapshot store: a staged mutation is pending");
   }
   const std::uint32_t standby = 1u - live_.load(std::memory_order_acquire);
-  // Prevalidate before logging: every logged record must replay cleanly
-  // on both replicas, or a semantic rejection would poison them.
-  TAR_RETURN_NOT_OK(slots_[standby].tree->PrevalidateRecord(record));
-  if (wal_ != nullptr) {
-    TAR_ASSIGN_OR_RETURN(record.lsn, wal_->Append(record));
-  } else {
-    record.lsn = next_lsn_++;
-  }
+  // Log-before-mutate against the caught-up standby: a record that fails
+  // validation never reaches the log (it would poison both replicas).
+  TAR_RETURN_NOT_OK(LogRecord(*slots_[standby].tree, wal_.get(), &record));
   // The standby is invisible to new readers, but a straggler that pinned
   // it before the previous publish may still be reading it.
   WaitForDrain(standby);

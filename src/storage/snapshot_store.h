@@ -21,7 +21,7 @@
 // none, then recovers both replicas through Recover() — snapshot plus the
 // same log, deterministic and idempotent by LSN, so the replicas
 // converge; Reopen() takes the same path. Without a WAL path the store is
-// in-memory and LSNs come from an internal counter.
+// in-memory and LSNs follow the replicas' applied LSN.
 #pragma once
 
 #include <atomic>
@@ -266,7 +266,6 @@ class SnapshotStore {
 
   mutable Mutex writer_mu_{LockRank::kTarTreeWriter, "snapshot.writer"};
   std::unique_ptr<WalWriter> wal_ TAR_GUARDED_BY(writer_mu_);
-  Lsn next_lsn_ TAR_GUARDED_BY(writer_mu_) = 1;  ///< in-memory stores only
   std::uint64_t next_version_ TAR_GUARDED_BY(writer_mu_) = 1;
   Status dead_ TAR_GUARDED_BY(writer_mu_) = Status::OK();
   StagePhase stage_phase_ TAR_GUARDED_BY(writer_mu_) = StagePhase::kIdle;

@@ -104,8 +104,8 @@ class Tia {
 
   /// Shared Append/RaiseTo validation: the extent must be a valid interval
   /// whose duration fits the 31 duration bits, and the aggregate must fit
-  /// the 32 value bits of the packed representation. Public so mutation
-  /// front doors can prevalidate before write-ahead logging — a logged
+  /// the 32 value bits of the packed representation. Public so TarTree
+  /// can prevalidate a mutation before it is logged or applied — a logged
   /// record must be guaranteed to replay cleanly.
   static Status CheckPackable(const TimeInterval& extent,
                               std::int64_t aggregate);

@@ -466,8 +466,8 @@ TEST(CorruptionInjectionTest, DeepVerifyOnLoadPassesCleanFile) {
   std::remove(path.c_str());
 }
 
-// The verifier against the online-ingestion lifecycle: a WAL-attached
-// tree verifies read-only (no log growth), a poisoned tree must NOT
+// The verifier against the online-ingestion lifecycle: a logged tree
+// verifies read-only (no log growth), a poisoned tree must NOT
 // verify as sound, and a recovered tree verifies clean again.
 TEST(VerifierWalTest, WalAttachedPoisonedAndRecoveredTrees) {
   const std::string base =
@@ -494,14 +494,18 @@ TEST(VerifierWalTest, WalAttachedPoisonedAndRecoveredTrees) {
   wopt.group_commit_records = 1;
   auto wal = std::move(WalWriter::Open(wal_path, wopt, tree.applied_lsn()))
                  .ValueOrDie();
-  tree.AttachWal(wal.get());
+  auto log_and_apply = [&](WalRecord record) {
+    TAR_RETURN_NOT_OK(LogRecord(tree, wal.get(), &record));
+    return tree.ApplyWalRecord(record);
+  };
 
-  // WAL-attached: a full pass succeeds, covers real structure, and —
+  // Logged: a full pass succeeds, covers real structure, and —
   // being read-only — appends nothing to the log.
   analysis::StructureVerifier verifier;
   analysis::VerifyReport report;
   const Lsn lsn_before = wal->last_lsn();
-  ASSERT_TRUE(tree.InsertPoi({100, {50, 50}}, {1, 2, 3}).ok());
+  ASSERT_TRUE(
+      log_and_apply(WalRecord::MakeInsertPoi(100, 50, 50, {1, 2, 3})).ok());
   ASSERT_GT(wal->last_lsn(), lsn_before);
   const Lsn lsn_logged = wal->last_lsn();
   Status vst = verifier.VerifyTarTree(tree, &report);
@@ -514,7 +518,7 @@ TEST(VerifierWalTest, WalAttachedPoisonedAndRecoveredTrees) {
   // fault; the verifier must refuse to call the tree sound.
   ASSERT_TRUE(
       fail::FaultInjector::Global().Configure("page_file.write=err").ok());
-  Status st = tree.InsertPoi({200, {60, 60}}, {1, 2, 3});
+  Status st = log_and_apply(WalRecord::MakeInsertPoi(200, 60, 60, {1, 2, 3}));
   fail::FaultInjector::Global().Clear();
   ASSERT_TRUE(st.IsIoError()) << st.ToString();
   ASSERT_TRUE(tree.poisoned());
@@ -526,7 +530,6 @@ TEST(VerifierWalTest, WalAttachedPoisonedAndRecoveredTrees) {
   // Recovered: redo from snapshot + log (deep-verifying on load), then a
   // final standalone pass — both clean, and the mutation whose in-memory
   // apply died is present.
-  tree.AttachWal(nullptr);
   wal.reset();
   TarTree::LoadOptions lopt;
   lopt.deep_verifier = analysis::DeepVerifyOnLoad();

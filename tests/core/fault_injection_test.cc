@@ -362,11 +362,13 @@ TEST_F(FaultInjectionTest, LifecycleExercisesEveryCatalogedSite) {
   auto opened = WalWriter::Open(walp, {}, tree->applied_lsn());
   ASSERT_TRUE(opened.ok());
   std::unique_ptr<WalWriter> wal = std::move(opened).ValueOrDie();
-  tree->AttachWal(wal.get());
-  ASSERT_TRUE(tree->InsertPoi({1000, {5, 5}}, {1, 2, 3}).ok());
-  ASSERT_TRUE(tree->AppendEpoch(kEpochs, {{1000, 7}}).ok());
+  WalRecord insert = WalRecord::MakeInsertPoi(1000, 5, 5, {1, 2, 3});
+  ASSERT_TRUE(LogRecord(*tree, wal.get(), &insert).ok());
+  ASSERT_TRUE(tree->ApplyWalRecord(insert).ok());
+  WalRecord epoch = WalRecord::MakeEpochBatch(kEpochs, {{1000, 7}});
+  ASSERT_TRUE(LogRecord(*tree, wal.get(), &epoch).ok());
+  ASSERT_TRUE(tree->ApplyWalRecord(epoch).ok());
   ASSERT_TRUE(Checkpoint(*tree, snap, wal.get()).ok());
-  tree->AttachWal(nullptr);
   wal.reset();
 
   // Recovery: persist.read and persist.load.reserve on the load.

@@ -40,7 +40,7 @@ TarTreeOptions MakeOptions() {
 
 /// Deterministic mixed workload: every fifth op digests an epoch over the
 /// POIs inserted so far, the rest insert fresh POIs.
-Status ApplyNthOp(TarTree* tree, std::size_t i) {
+WalRecord NthOp(std::size_t i) {
   if (i % 5 == 4) {
     std::unordered_map<PoiId, std::int64_t> aggs;
     for (std::size_t j = 0; j < i; ++j) {
@@ -48,12 +48,26 @@ Status ApplyNthOp(TarTree* tree, std::size_t i) {
         aggs[static_cast<PoiId>(j + 1)] = static_cast<std::int64_t>(j % 7) + 1;
       }
     }
-    return tree->AppendEpoch(static_cast<std::int64_t>(i / 5), aggs);
+    return WalRecord::MakeEpochBatch(static_cast<std::int64_t>(i / 5), aggs);
   }
-  Poi p{static_cast<PoiId>(i + 1),
-        {static_cast<double>((i * 37) % 100),
-         static_cast<double>((i * 61) % 100)}};
-  return tree->InsertPoi(p);
+  return WalRecord::MakeInsertPoi(static_cast<PoiId>(i + 1),
+                                  static_cast<double>((i * 37) % 100),
+                                  static_cast<double>((i * 61) % 100), {});
+}
+
+/// Op `i` through the direct in-memory doors (the reference trees).
+Status ApplyNthOp(TarTree* tree, std::size_t i) {
+  const WalRecord op = NthOp(i);
+  if (op.type == WalRecord::Type::kInsertPoi) {
+    return tree->InsertPoi(Poi{op.poi, Vec2{op.x, op.y}}, op.history);
+  }
+  return tree->AppendEpoch(op.epoch, {op.aggs.begin(), op.aggs.end()});
+}
+
+/// Logs `record` through `wal`, then applies it: the logged write path.
+Status LogAndApply(TarTree* tree, WalWriter* wal, WalRecord record) {
+  TAR_RETURN_NOT_OK(LogRecord(*tree, wal, &record));
+  return tree->ApplyWalRecord(record);
 }
 
 std::vector<KnntaQuery> ProbeQueries() {
@@ -104,9 +118,9 @@ class IngestRecoveryTest : public ::testing::Test {
     std::remove(wal_.c_str());
   }
 
-  /// Checkpoints an empty tree, then runs ops [0, n) through an attached
-  /// WAL. `checkpoint_at` (if < n) takes a mid-run checkpoint whose
-  /// truncation is *skipped*, modeling a crash between checkpoint steps.
+  /// Checkpoints an empty tree, then logs and applies ops [0, n).
+  /// `checkpoint_at` (if < n) takes a mid-run checkpoint whose truncation
+  /// is *skipped*, modeling a crash between checkpoint steps.
   void BuildStore(std::size_t n, std::size_t checkpoint_at = SIZE_MAX) {
     TarTree tree(MakeOptions());
     ASSERT_TRUE(tree.SaveToFile(snap_).ok());
@@ -115,7 +129,6 @@ class IngestRecoveryTest : public ::testing::Test {
     auto opened = WalWriter::Open(wal_, wopt);
     ASSERT_TRUE(opened.ok());
     std::unique_ptr<WalWriter> wal = std::move(opened).ValueOrDie();
-    tree.AttachWal(wal.get());
     for (std::size_t i = 0; i < n; ++i) {
       if (i == checkpoint_at) {
         ASSERT_TRUE(tree.SaveToFile(snap_).ok());
@@ -123,10 +136,10 @@ class IngestRecoveryTest : public ::testing::Test {
             wal->Append(WalRecord::MakeCheckpoint(tree.applied_lsn())).ok());
         ASSERT_TRUE(wal->Sync().ok());
       }
-      ASSERT_TRUE(ApplyNthOp(&tree, i).ok()) << "op " << i;
+      ASSERT_TRUE(LogAndApply(&tree, wal.get(), NthOp(i)).ok())
+          << "op " << i;
     }
     ASSERT_TRUE(wal->Sync().ok());
-    tree.AttachWal(nullptr);
   }
 
   std::string snap_;
@@ -216,9 +229,8 @@ TEST_F(IngestRecoveryTest, CheckpointTruncatesTheLogAndRecordsTheLsn) {
   TarTree tree(MakeOptions());
   ASSERT_TRUE(tree.SaveToFile(snap_).ok());
   auto wal = std::move(WalWriter::Open(wal_)).ValueOrDie();
-  tree.AttachWal(wal.get());
   for (std::size_t i = 0; i < kOps; ++i) {
-    ASSERT_TRUE(ApplyNthOp(&tree, i).ok());
+    ASSERT_TRUE(LogAndApply(&tree, wal.get(), NthOp(i)).ok());
   }
 
   ASSERT_TRUE(Checkpoint(tree, snap_, wal.get()).ok());
@@ -233,7 +245,6 @@ TEST_F(IngestRecoveryTest, CheckpointTruncatesTheLogAndRecordsTheLsn) {
   EXPECT_EQ(loaded.ValueOrDie()->applied_lsn(), tree.applied_lsn());
   EXPECT_EQ(tree.applied_lsn(), kOps);
 
-  tree.AttachWal(nullptr);
   wal.reset();
   auto reopened = std::move(WalWriter::Open(wal_, {}, tree.applied_lsn()))
                       .ValueOrDie();
@@ -279,13 +290,13 @@ TEST_F(IngestRecoveryTest, FailedApplyPoisonsTheTreeAndRecoveryClearsIt) {
   wopt.group_commit_records = 1;
   auto wal = std::move(WalWriter::Open(wal_, wopt, tree.applied_lsn()))
                  .ValueOrDie();
-  tree.AttachWal(wal.get());
 
   // The mutation is logged, then fails mid-apply on an injected page
   // fault: the in-memory tree is now suspect and must say so everywhere.
   ASSERT_TRUE(
       fail::FaultInjector::Global().Configure("page_file.write=err").ok());
-  Status st = tree.InsertPoi({500, {50, 50}}, {1, 2, 3});
+  Status st = LogAndApply(&tree, wal.get(),
+                          WalRecord::MakeInsertPoi(500, 50, 50, {1, 2, 3}));
   ASSERT_TRUE(st.IsIoError()) << st.ToString();
   fail::FaultInjector::Global().Clear();
   ASSERT_TRUE(tree.poisoned());
@@ -297,6 +308,9 @@ TEST_F(IngestRecoveryTest, FailedApplyPoisonsTheTreeAndRecoveryClearsIt) {
   EXPECT_NE(qst.message().find("poisoned"), std::string::npos)
       << qst.ToString();
   EXPECT_TRUE(tree.InsertPoi({501, {1, 1}}).IsIoError());
+  EXPECT_TRUE(
+      LogAndApply(&tree, wal.get(), WalRecord::MakeInsertPoi(501, 1, 1, {}))
+          .IsIoError());
   std::stringstream out;
   EXPECT_TRUE(tree.Save(out).IsIoError());
   EXPECT_TRUE(Checkpoint(tree, snap_, wal.get()).IsIoError());
@@ -304,7 +318,6 @@ TEST_F(IngestRecoveryTest, FailedApplyPoisonsTheTreeAndRecoveryClearsIt) {
   // The logged record makes the failed mutation all-or-nothing at
   // recovery: replayed without the fault it lands cleanly, so the
   // recovered store contains the POI whose in-memory apply died.
-  tree.AttachWal(nullptr);
   wal.reset();
   auto rec = Recover(snap_, wal_, TarTree::LoadOptions());
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
@@ -321,16 +334,24 @@ TEST_F(IngestRecoveryTest, FailedApplyPoisonsTheTreeAndRecoveryClearsIt) {
   ExpectSameAnswers(*recovered, want);
 }
 
-TEST_F(IngestRecoveryTest, DeleteIsRejectedWhileAWalIsAttached) {
-  TarTree tree(MakeOptions());
-  ASSERT_TRUE(tree.InsertPoi({1, {10, 10}}).ok());
-  auto wal = std::move(WalWriter::Open(wal_)).ValueOrDie();
-  tree.AttachWal(wal.get());
-  Status st = tree.DeletePoi(1);
-  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+TEST_F(IngestRecoveryTest, UnpackableHistoryIsRejectedWithoutPoisoning) {
+  // An epoch of 2^31 seconds cannot be packed into a TIA record, so the
+  // history is refused before any page is touched — through the direct
+  // door and the logged path alike — and the tree stays clean and empty.
+  TarTreeOptions opt = MakeOptions();
+  opt.grid = EpochGrid(0, Timestamp{1} << 31);
+  TarTree tree(opt);
+  Status st = tree.InsertPoi({1, {10, 10}}, {1});
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_FALSE(tree.poisoned());
-  tree.AttachWal(nullptr);
-  EXPECT_TRUE(tree.DeletePoi(1).ok());
+  EXPECT_EQ(tree.num_pois(), 0u);
+
+  auto wal = std::move(WalWriter::Open(wal_)).ValueOrDie();
+  st = LogAndApply(&tree, wal.get(), WalRecord::MakeInsertPoi(1, 10, 10, {1}));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_FALSE(tree.poisoned());
+  EXPECT_EQ(tree.num_pois(), 0u);
+  EXPECT_EQ(wal->last_lsn(), 0u);  // nothing reached the log
 }
 
 // ---------------------------------------------------------------------------
@@ -360,9 +381,8 @@ TEST_F(IngestRecoveryTest, ConcurrentReadersAgainstCheckpointWhileIngesting) {
   constexpr std::size_t kTotal = 40;
   TarTree live(MakeOptions());
   auto wal = std::move(WalWriter::Open(wal_)).ValueOrDie();
-  live.AttachWal(wal.get());
   for (std::size_t i = 0; i < kWarmup; ++i) {
-    ASSERT_TRUE(ApplyNthOp(&live, i).ok());
+    ASSERT_TRUE(LogAndApply(&live, wal.get(), NthOp(i)).ok());
   }
   ASSERT_TRUE(Checkpoint(live, snap_, wal.get()).ok());
 
@@ -385,7 +405,7 @@ TEST_F(IngestRecoveryTest, ConcurrentReadersAgainstCheckpointWhileIngesting) {
   // The single writer keeps ingesting (and checkpointing) its own tree
   // while the readers hammer the recovered checkpoint.
   for (std::size_t i = kWarmup; i < kTotal; ++i) {
-    ASSERT_TRUE(ApplyNthOp(&live, i).ok());
+    ASSERT_TRUE(LogAndApply(&live, wal.get(), NthOp(i)).ok());
     if (i % 8 == 0) {
       ASSERT_TRUE(Checkpoint(live, snap_, wal.get()).ok());
     }
@@ -393,7 +413,6 @@ TEST_F(IngestRecoveryTest, ConcurrentReadersAgainstCheckpointWhileIngesting) {
   for (std::thread& t : readers) t.join();
   EXPECT_FALSE(failed);
   EXPECT_TRUE(checkpoint->CheckInvariants().ok());
-  live.AttachWal(nullptr);
 }
 
 }  // namespace

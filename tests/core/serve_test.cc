@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -131,6 +132,22 @@ TEST(ServeTest, OverloadShedsWithRetryAfterHint) {
   EXPECT_GT(std::atof(hint.c_str() + at + 15), 0.0) << hint;
   // Shed queries never enter the latency histogram.
   EXPECT_EQ(stats.latency.count, stats.queries_ok);
+}
+
+TEST(ServeTest, CapAboveInt64MaxAdmitsALoneQuery) {
+  // A cap of SIZE_MAX is negative as a signed 64-bit value; the admission
+  // compare must not turn it into "shed everything".
+  std::unique_ptr<ShardedStore> store = MakeStore();
+  ServeOptions opt;
+  opt.max_inflight = SIZE_MAX;
+  ShardedServer server(store.get(), opt);
+  server.Start();
+  std::vector<KnntaResult> results;
+  Status st = server.Query(ProbeQuery(), &results);
+  server.Stop();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_FALSE(results.empty());
+  EXPECT_EQ(server.stats().queries_shed, 0u);
 }
 
 TEST(ServeTest, RetryHintNeverDegenerates) {

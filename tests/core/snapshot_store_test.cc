@@ -158,20 +158,25 @@ TEST(SnapshotStoreTest, RejectedMutationsLeaveVersionAndDataUntouched) {
   std::unique_ptr<SnapshotStore> store = OpenInMemory();
   ASSERT_TRUE(store->InsertPoi(MakePoi(1), MakeHistory(1, 2)).ok());
   const std::uint64_t version = store->version();
+  const Lsn lsn = store->applied_lsn();
+  EXPECT_EQ(lsn, 1u);
 
   // Prevalidation runs before the log append, so a bad batch neither
-  // bumps the version nor reaches either replica.
+  // bumps the version nor consumes an LSN nor reaches either replica.
   std::unordered_map<PoiId, std::int64_t> unknown{{99, 5}};
   EXPECT_TRUE(store->AppendEpoch(2, unknown).IsInvalidArgument());
   EXPECT_TRUE(store->InsertPoi(MakePoi(1)).IsAlreadyExists());
   EXPECT_TRUE(store->AppendEpoch(-1, {}).IsInvalidArgument());
   EXPECT_EQ(store->version(), version);
+  EXPECT_EQ(store->applied_lsn(), lsn);
   EXPECT_TRUE(store->dead_status().ok());
 
-  // The store is still healthy: a valid mutation goes through.
+  // The store is still healthy: a valid mutation goes through and takes
+  // the next LSN, with no gap left by the rejections.
   std::unordered_map<PoiId, std::int64_t> good{{1, 5}};
   EXPECT_TRUE(store->AppendEpoch(2, good).ok());
   EXPECT_EQ(store->version(), version + 1);
+  EXPECT_EQ(store->applied_lsn(), lsn + 1);
 }
 
 TEST(SnapshotStoreTest, PathsMustBeSetTogether) {

@@ -224,6 +224,25 @@ bool ParseCount(const std::map<std::string, std::string>& flags,
   return true;
 }
 
+/// Parses the seed range of a sweep verb (chaos, chaos --shard-kill,
+/// audit): `--seed N` runs seed N alone, otherwise `--seeds N` (default
+/// `def_seeds`) sweeps 1..N. Both parse with ParseCount, so "-1" is
+/// refused instead of wrapping to a sweep of ~2^64 seeds. Returns false
+/// after printing the message.
+bool ParseSeedRange(const std::map<std::string, std::string>& flags,
+                    const char* verb, const std::string& def_seeds,
+                    std::uint64_t* first, std::uint64_t* last) {
+  std::size_t n = 0;
+  const bool one = flags.count("seed") != 0;
+  if (!ParseCount(flags, verb, one ? "seed" : "seeds", one ? "1" : def_seeds,
+                  &n)) {
+    return false;
+  }
+  *first = one ? n : 1;
+  *last = n;
+  return true;
+}
+
 /// The end of the indexed history: the extent end of the global TIA's
 /// last record, or 0 for an index with no digested epochs. A failed read
 /// is returned, never replaced by a guess: a query window anchored at a
@@ -621,6 +640,13 @@ int Stress(const std::map<std::string, std::string>& flags) {
 // --------------------------------------------------------------------------
 // ingest / recover: online ingestion against a WAL-backed store.
 
+/// The write path of every logged tree in this tool: log `record`
+/// (LogRecord validates, then appends), then apply the logged record.
+Status LogAndApply(TarTree* tree, WalWriter* wal, WalRecord record) {
+  TAR_RETURN_NOT_OK(LogRecord(*tree, wal, &record));
+  return tree->ApplyWalRecord(record);
+}
+
 int Ingest(const std::map<std::string, std::string>& flags) {
   const std::string input = Flag(flags, "input", "checkins.tsv");
   const std::string store = Flag(flags, "store", "store");
@@ -694,7 +720,6 @@ int Ingest(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   std::unique_ptr<WalWriter> wal = std::move(wres).ValueOrDie();
-  tree->AttachWal(wal.get());
 
   std::size_t since_checkpoint = 0;
   auto after_op = [&]() -> Status {
@@ -717,7 +742,10 @@ int Ingest(const std::map<std::string, std::string>& flags) {
       ++already;
       continue;
     }
-    Status st = tree->InsertPoi(data.pois[id]);
+    const Poi& poi = data.pois[id];
+    Status st = LogAndApply(
+        tree.get(), wal.get(),
+        WalRecord::MakeInsertPoi(poi.id, poi.pos.x, poi.pos.y, {}));
     if (!st.ok()) {
       // A dead WAL writer gates every later mutation with the same root
       // cause attached (kFailedPrecondition); print it once and stop
@@ -762,7 +790,8 @@ int Ingest(const std::map<std::string, std::string>& flags) {
       }
     }
     if (aggs.empty()) continue;
-    Status st = tree->AppendEpoch(e, aggs);
+    Status st = LogAndApply(tree.get(), wal.get(),
+                            WalRecord::MakeEpochBatch(e, aggs));
     if (!st.ok()) {
       if (st.IsFailedPrecondition()) {
         std::fprintf(stderr, "ingest aborted at epoch %lld: %s\n",
@@ -787,7 +816,6 @@ int Ingest(const std::map<std::string, std::string>& flags) {
                  st.ToString().c_str());
     return 1;
   }
-  tree->AttachWal(nullptr);
   std::printf("ingested %zu new POIs (%zu already indexed), %lld epochs "
               "-> %s + %s (applied LSN %llu)\n",
               inserted, already, static_cast<long long>(appended),
@@ -961,13 +989,24 @@ TarTreeOptions IngestMatrixOptions(TiaBackend backend) {
   return opt;
 }
 
+/// Applies `op` through the direct in-memory doors.
 Status ApplyIngestOp(TarTree* tree, const IngestOp& op) {
   if (op.is_insert) return tree->InsertPoi(op.poi);
   return tree->AppendEpoch(op.epoch, op.aggs);
 }
 
-/// Reference state after the first `count` ops: an uninterrupted run with
-/// no WAL attached.
+/// Logs `op` through `wal`, then applies the logged record.
+Status LogIngestOp(TarTree* tree, WalWriter* wal, const IngestOp& op) {
+  return LogAndApply(
+      tree, wal,
+      op.is_insert ? WalRecord::MakeInsertPoi(op.poi.id, op.poi.pos.x,
+                                              op.poi.pos.y, {})
+                   : WalRecord::MakeEpochBatch(op.epoch, op.aggs));
+}
+
+/// Reference state after the first `count` ops: an uninterrupted run
+/// through the direct doors, never logged, so comparing a recovered store
+/// against it pits the log-and-replay path against the direct one.
 std::unique_ptr<TarTree> IngestRefTree(const TarTreeOptions& opt,
                                        const std::vector<IngestOp>& ops,
                                        std::size_t count) {
@@ -1106,7 +1145,6 @@ int IngestCrashMatrix(const std::string& base, std::uint64_t rseed,
       return 2;
     }
     std::unique_ptr<WalWriter> wal = std::move(wres).ValueOrDie();
-    tree.AttachWal(wal.get());
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (i == mid) {
         if (!tree.SaveToFile(snap).ok() ||
@@ -1117,13 +1155,12 @@ int IngestCrashMatrix(const std::string& base, std::uint64_t rseed,
           return 2;
         }
       }
-      if (!ApplyIngestOp(&tree, ops[i]).ok()) {
+      if (!LogIngestOp(&tree, wal.get(), ops[i]).ok()) {
         std::fprintf(stderr, "ingest matrix: op %zu failed\n", i);
         return 2;
       }
     }
     if (!wal->Sync().ok()) return 2;
-    tree.AttachWal(nullptr);
   }
 
   std::string wal_bytes;
@@ -1267,7 +1304,6 @@ int IngestCrashMatrix(const std::string& base, std::uint64_t rseed,
     auto wres = WalWriter::Open(wal2, wopt);
     if (!wres.ok()) return 2;
     std::unique_ptr<WalWriter> wal = std::move(wres).ValueOrDie();
-    tree.AttachWal(wal.get());
     const std::size_t tear = 2 + rseed % (ops.size() - 2);
     const std::string spec = "wal.torn=torn@" + std::to_string(tear) +
                              ";seed=" + std::to_string(rseed);
@@ -1275,14 +1311,13 @@ int IngestCrashMatrix(const std::string& base, std::uint64_t rseed,
     std::size_t acked = 0;
     bool failed = false;
     for (const IngestOp& op : ops) {
-      if (!ApplyIngestOp(&tree, op).ok()) {
+      if (!LogIngestOp(&tree, wal.get(), op).ok()) {
         failed = true;
         break;
       }
       ++acked;
     }
     injector.Clear();
-    tree.AttachWal(nullptr);
     if (!failed || tree.poisoned()) {
       // The append failed before any page was touched, so the in-memory
       // tree must stay clean (unmutated), not poisoned.
@@ -1727,7 +1762,6 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
     auto wres = WalWriter::Open(walp, wopt);
     if (!wres.ok()) return 2;
     std::unique_ptr<WalWriter> wal = std::move(wres).ValueOrDie();
-    store.AttachWal(wal.get());
     char spec[96];
     std::snprintf(spec, sizeof(spec), "wal.append=delay@%.1f@0.3;seed=%llu",
                   delay_ms / 4.0, rs + 1);
@@ -1735,7 +1769,7 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
     Status ingest_st = Status::OK();
     std::thread ingester([&] {
       for (const IngestOp& op : ops) {
-        Status ap = ApplyIngestOp(&store, op);
+        Status ap = LogIngestOp(&store, wal.get(), op);
         if (!ap.ok()) {
           ingest_st = ap;
           return;
@@ -1751,7 +1785,6 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
     Status st = RunParallelQueries(*tree, queries, popt, &report);
     ingester.join();
     injector.Clear();
-    store.AttachWal(nullptr);
     if (!st.ok() || !ingest_st.ok()) {
       std::fprintf(stderr, "chaos seed %llu: concurrent ingest failed: %s\n",
                    rs, (!st.ok() ? st : ingest_st).ToString().c_str());
@@ -2057,15 +2090,11 @@ int ShardKillRound(std::uint64_t seed, std::size_t shards,
 
 int ShardKillChaos(const std::map<std::string, std::string>& flags) {
   std::uint64_t first = 1;
-  std::uint64_t last =
-      std::strtoull(Flag(flags, "seeds", "6").c_str(), nullptr, 10);
-  if (flags.count("seed") != 0) {
-    first = last =
-        std::strtoull(Flag(flags, "seed", "1").c_str(), nullptr, 10);
-  }
+  std::uint64_t last = 0;
   std::size_t shards = 0;
   std::size_t threads = 0;
-  if (!ParseCount(flags, "chaos --shard-kill", "shards", "4", &shards) ||
+  if (!ParseSeedRange(flags, "chaos --shard-kill", "6", &first, &last) ||
+      !ParseCount(flags, "chaos --shard-kill", "shards", "4", &shards) ||
       !ParseCount(flags, "chaos --shard-kill", "threads", "3", &threads)) {
     return 2;
   }
@@ -2128,14 +2157,12 @@ int ShardKillChaos(const std::map<std::string, std::string>& flags) {
 int Chaos(const std::map<std::string, std::string>& flags) {
   if (flags.count("shard-kill") != 0) return ShardKillChaos(flags);
   std::uint64_t first = 1;
-  std::uint64_t last =
-      std::strtoull(Flag(flags, "seeds", "8").c_str(), nullptr, 10);
-  if (flags.count("seed") != 0) {
-    first = last =
-        std::strtoull(Flag(flags, "seed", "1").c_str(), nullptr, 10);
-  }
+  std::uint64_t last = 0;
   std::size_t threads = 0;
-  if (!ParseCount(flags, "chaos", "threads", "4", &threads)) return 2;
+  if (!ParseSeedRange(flags, "chaos", "8", &first, &last) ||
+      !ParseCount(flags, "chaos", "threads", "4", &threads)) {
+    return 2;
+  }
   const double deadline_ms =
       std::atof(Flag(flags, "deadline-ms", "25").c_str());
   const double delay_ms = std::atof(Flag(flags, "delay-ms", "15").c_str());
@@ -2206,19 +2233,16 @@ int Chaos(const std::map<std::string, std::string>& flags) {
 
 int Audit(const std::map<std::string, std::string>& flags) {
   analysis::QueryCheckOptions opt;
-  opt.num_queries = static_cast<std::size_t>(
-      std::strtoull(Flag(flags, "queries", "10").c_str(), nullptr, 10));
-  opt.num_pois = static_cast<std::size_t>(
-      std::strtoull(Flag(flags, "pois", "48").c_str(), nullptr, 10));
-  opt.num_epochs =
-      std::strtoll(Flag(flags, "epochs", "10").c_str(), nullptr, 10);
+  std::size_t epochs = 0;
   std::uint64_t first = 1;
-  std::uint64_t last =
-      std::strtoull(Flag(flags, "seeds", "50").c_str(), nullptr, 10);
-  if (flags.count("seed") != 0) {
-    first = last = std::strtoull(Flag(flags, "seed", "1").c_str(), nullptr,
-                                 10);
+  std::uint64_t last = 0;
+  if (!ParseCount(flags, "audit", "queries", "10", &opt.num_queries) ||
+      !ParseCount(flags, "audit", "pois", "48", &opt.num_pois) ||
+      !ParseCount(flags, "audit", "epochs", "10", &epochs) ||
+      !ParseSeedRange(flags, "audit", "50", &first, &last)) {
+    return 2;
   }
+  opt.num_epochs = static_cast<std::int64_t>(epochs);
   if (last < first || opt.num_queries == 0 || opt.num_pois == 0 ||
       opt.num_epochs <= 0) {
     std::fprintf(stderr, "audit: bad flags\n");
